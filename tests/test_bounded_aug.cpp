@@ -8,6 +8,8 @@
 #include "matching/blossom.hpp"
 #include "matching/greedy.hpp"
 #include "matching/verify.hpp"
+#include "obs/metrics.hpp"
+#include "sparsify/sparsifier.hpp"
 #include "util/rng.hpp"
 
 namespace matchsparse {
@@ -105,6 +107,100 @@ TEST(ApproxMcm, StatsAreCoherent) {
 
 TEST(ApproxMcm, EmptyGraph) {
   EXPECT_EQ(approx_mcm(Graph::from_edges(3, {}), 0.3).size(), 0u);
+}
+
+// Output-identity pins: the goldens below were recorded from the
+// implementation that rebased blossoms by rescanning every vertex the
+// search had discovered, so any drift in exploration order — the queue,
+// the depths, which augmenting path is taken — trips these, not just a
+// size change.
+int mate_or_minus_one(const Matching& m, VertexId v) {
+  return m.mate(v) == kNoVertex ? -1 : static_cast<int>(m.mate(v));
+}
+
+TEST(ApproxMcm, GoldenMatesBlossomHeavyLineGraph) {
+  // L(ER) with an odd base edge count: one vertex stays free, so the last
+  // sweep's search from it fails after contracting many triangles.
+  Rng rng(43);
+  const Graph base = gen::erdos_renyi(12, 3.0, rng);
+  ASSERT_EQ(base.num_edges() % 2, 1u);
+  const Graph g = gen::line_graph(base);
+  ASSERT_EQ(g.num_vertices(), 21u);
+  ASSERT_EQ(g.num_edges(), 63u);
+  obs::Registry registry;
+  const obs::ScopedMetricsRegistry scope(registry);
+  ApproxMcmStats stats;
+  const Matching m = approx_mcm(g, 0.2, &stats);
+  const int golden[21] = {1,  0,  3,  2,  18, 19, 7,  6,  9,  8, 13,
+                          12, 11, 10, 15, 14, 17, 16, 4,  5,  -1};
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(mate_or_minus_one(m, v), golden[v]) << "vertex " << v;
+  }
+  EXPECT_EQ(stats.sweeps, 2u);
+  EXPECT_EQ(stats.searches, 3u);
+  EXPECT_EQ(stats.augmentations, 1u);
+#if MATCHSPARSE_OBS_ENABLED
+  // Every search bumps the search version and every contraction the
+  // blossom version, so the difference counts contractions.
+  const std::uint64_t resets =
+      registry.snapshot().counter_value("matching.aug.stamp_resets");
+  EXPECT_EQ(resets - stats.searches, 22u);
+#endif
+}
+
+std::uint64_t mate_hash(const Graph& g, double eps) {
+  const Matching m = approx_mcm(g, eps);
+  std::uint64_t h = g.num_vertices();
+  for (VertexId v = 0; v < g.num_vertices(); ++v) h = mix64(h, m.mate(v));
+  return h;
+}
+
+TEST(ApproxMcm, GoldenMateHashCorpus) {
+  // eps 0.5 and 1.0 keep the depth cap tight enough that contractions
+  // meet even vertices the cap left unqueued; 0.2 and 0.1 let searches
+  // run deep through nested blossoms.
+  const double eps_pool[] = {1.0, 0.5, 0.2, 0.1};
+  Rng rng(2024);
+  std::uint64_t line = 0;
+  for (VertexId trial = 0; trial < 6; ++trial) {
+    const Graph g =
+        gen::line_graph(gen::erdos_renyi(40 + 30 * trial, 4.0, rng));
+    for (const double eps : eps_pool) line = mix64(line, mate_hash(g, eps));
+  }
+  std::uint64_t disk = 0;
+  for (VertexId trial = 0; trial < 4; ++trial) {
+    const VertexId n = 150 + 100 * trial;
+    const Graph g =
+        gen::unit_disk(n, gen::unit_disk_radius_for_degree(n, 8.0), rng);
+    for (const double eps : eps_pool) disk = mix64(disk, mate_hash(g, eps));
+  }
+  std::uint64_t cpath = 0;
+  for (const VertexId count : {5u, 9u}) {
+    const Graph g = gen::clique_path(count, 6);
+    for (const double eps : eps_pool) cpath = mix64(cpath, mate_hash(g, eps));
+  }
+  std::uint64_t clique = 0;
+  for (const VertexId n : {9u, 33u, 80u}) {
+    const Graph g = gen::complete_graph(n);
+    for (const double eps : eps_pool) clique = mix64(clique, mate_hash(g, eps));
+  }
+  // G_Δ of K_n: a sparse random graph with many odd cycles, the input the
+  // solver sees in the sublinear regime.
+  std::uint64_t sparsified = 0;
+  const Graph kn = gen::complete_graph(301);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const Graph g =
+        Graph::from_edges(kn.num_vertices(),
+                          sparsify_edges_parallel(kn, 6, seed, /*threads=*/1));
+    for (const double eps : eps_pool) {
+      sparsified = mix64(sparsified, mate_hash(g, eps));
+    }
+  }
+  EXPECT_EQ(line, 0x84b596319d5e3a4au);
+  EXPECT_EQ(disk, 0x3346bd76406cd8f3u);
+  EXPECT_EQ(cpath, 0x50eb1ba3a1cba9acu);
+  EXPECT_EQ(clique, 0x4817836334a1453au);
+  EXPECT_EQ(sparsified, 0x634b87f8bf0f4817u);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,18 +8,42 @@
 namespace matchsparse {
 namespace {
 
+// Slicing must not change the computation: at every budget the resumable
+// matcher returns exactly the mates of the one-shot approx_mcm, which runs
+// the same solver in one go.
+void expect_same_as_one_shot(const Graph& g, double eps, const char* what) {
+  const Matching one_shot = approx_mcm(g, eps);
+  const VertexId opt = blossom_mcm(g).size();
+  for (const std::uint64_t budget :
+       {std::uint64_t{1}, std::uint64_t{64}, ~std::uint64_t{0}}) {
+    ResumableApproxMcm resumable(g, eps);
+    while (!resumable.finished()) resumable.advance(budget);
+    const Matching sliced = resumable.result();
+    EXPECT_TRUE(sliced.is_valid(g)) << what << " budget " << budget;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(sliced.mate(v), one_shot.mate(v))
+          << what << " budget " << budget << " vertex " << v;
+    }
+    // Same guarantee as the one-shot matcher.
+    EXPECT_GE(static_cast<double>(sliced.size()) * (1.0 + eps),
+              static_cast<double>(opt))
+        << what << " budget " << budget;
+  }
+}
+
 TEST(Resumable, MatchesOneShotResult) {
   Rng rng(1);
   for (int trial = 0; trial < 10; ++trial) {
-    const Graph g = gen::erdos_renyi(100, 6.0, rng);
-    ResumableApproxMcm resumable(g, 0.2);
-    while (!resumable.finished()) resumable.advance(64);
-    const Matching sliced = resumable.result();
-    EXPECT_TRUE(sliced.is_valid(g));
-    // Same guarantee as the one-shot matcher.
-    const VertexId opt = blossom_mcm(g).size();
-    EXPECT_GE(static_cast<double>(sliced.size()) * 1.2,
-              static_cast<double>(opt));
+    expect_same_as_one_shot(gen::erdos_renyi(100, 6.0, rng), 0.2, "er");
+  }
+  for (int trial = 0; trial < 5; ++trial) {
+    expect_same_as_one_shot(
+        gen::line_graph(gen::erdos_renyi(50, 4.0, rng)), 0.2, "line");
+  }
+  for (int trial = 0; trial < 5; ++trial) {
+    expect_same_as_one_shot(
+        gen::unit_disk(200, gen::unit_disk_radius_for_degree(200, 8.0), rng),
+        0.2, "disk");
   }
 }
 
