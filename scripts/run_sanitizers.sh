@@ -12,7 +12,8 @@
 # 8 lanes); ASan+UBSan reruns the same suites for memory errors in the
 # histogram/scatter/compaction passes. The thread lane additionally
 # replays the frontier matchcheck properties through the fuzzer, which
-# exercises the lock-free DFS under seed-randomized graphs.
+# exercises the lock-free DFS under seed-randomized graphs. The address
+# lane additionally runs the serial bounded-augmentation matcher suites.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -50,6 +51,12 @@ SERVE_FILTER='*'
 # under a four-writer storm with a concurrent dumper, and STATS scrapes
 # racing live request traffic.
 SERVE_TELEMETRY_FILTER='*'
+# The serial bounded-augmentation matcher (address lane only: it is
+# single-threaded). Its blossom union-find compresses paths by writing
+# through the version-stamped base array, and the resumable variant and
+# the dynamic window matcher drive the same solver in budgeted slices.
+MATCHING_FILTER='ApproxMcm*:Resumable*'
+DYNAMIC_FILTER='WindowMatcher*'
 
 run_one() {
   san="$1"
@@ -69,6 +76,11 @@ run_one() {
   "$dir/tests/test_frontier_matching" --gtest_filter="$FRONTIER_FILTER"
   "$dir/tests/test_serve" --gtest_filter="$SERVE_FILTER"
   "$dir/tests/test_serve_telemetry" --gtest_filter="$SERVE_TELEMETRY_FILTER"
+  if [ "$san" = "address" ]; then
+    cmake --build "$dir" --target test_matching test_dynamic -j "$(nproc)"
+    "$dir/tests/test_matching" --gtest_filter="$MATCHING_FILTER"
+    "$dir/tests/test_dynamic" --gtest_filter="$DYNAMIC_FILTER"
+  fi
   if [ "$san" = "thread" ]; then
     # Seed-randomized frontier workloads under TSan: the matchcheck
     # properties drive serial + 2/4/8-lane pool runs and mid-phase

@@ -22,6 +22,8 @@ namespace {
 
 /// Depth-limited Edmonds search with version-stamped scratch arrays so
 /// that each search costs O(work explored), not O(n) initialisation.
+/// Blossom bases live in a union-find over the same stamps, so a
+/// contraction costs O(|tree paths|·α), not O(|discovered|).
 class BoundedBlossomSolver {
  public:
   BoundedBlossomSolver(const Graph& g, VertexId depth_cap)
@@ -32,6 +34,7 @@ class BoundedBlossomSolver {
         parent_(n_, kNoVertex),
         base_(n_, 0),
         depth_(n_, 0),
+        discovery_(n_, 0),
         used_stamp_(n_, 0),
         base_stamp_(n_, 0),
         parent_stamp_(n_, 0),
@@ -49,7 +52,8 @@ class BoundedBlossomSolver {
     match_[v] = u;
   }
 
-  /// Work units consumed so far (adjacency entries scanned, roughly).
+  /// Work units consumed so far: adjacency entries scanned plus blossom
+  /// members rebased.
   std::uint64_t work() const { return work_; }
 
   /// O(1) scratch-array resets performed (search-version and
@@ -62,7 +66,7 @@ class BoundedBlossomSolver {
   /// on success.
   bool try_augment(VertexId root) {
     ++version_;
-    discovered_.clear();
+    discovered_ = 0;
     set_used(root, 0);
     std::queue<VertexId> queue;
     queue.push(root);
@@ -104,28 +108,41 @@ class BoundedBlossomSolver {
   }
 
  private:
+  /// Stamps v with its discovery index the first time this search
+  /// touches it (as even or as odd).
+  void note_discovery(VertexId v) {
+    if (used_stamp_[v] != version_ && parent_stamp_[v] != version_) {
+      discovery_[v] = discovered_++;
+    }
+  }
   bool is_used(VertexId v) const { return used_stamp_[v] == version_; }
   void set_used(VertexId v, VertexId depth) {
-    if (used_stamp_[v] != version_ && parent_stamp_[v] != version_) {
-      discovered_.push_back(v);
-    }
+    note_discovery(v);
     used_stamp_[v] = version_;
     depth_[v] = depth;
   }
   bool has_parent(VertexId v) const { return parent_stamp_[v] == version_; }
   void set_parent(VertexId v, VertexId p) {
-    if (used_stamp_[v] != version_ && parent_stamp_[v] != version_) {
-      discovered_.push_back(v);
-    }
+    note_discovery(v);
     parent_stamp_[v] = version_;
     parent_[v] = p;
   }
-  VertexId base_of(VertexId v) const {
-    return base_stamp_[v] == version_ ? base_[v] : v;
+  /// Union-find root of v's blossom: a vertex without a base stamp this
+  /// search is a root, its own base. Compresses the path it walks.
+  VertexId base_of(VertexId v) {
+    VertexId root = v;
+    while (base_stamp_[root] == version_) root = base_[root];
+    while (v != root) {
+      const VertexId next = base_[v];
+      base_[v] = root;
+      v = next;
+    }
+    return root;
   }
-  void set_base(VertexId v, VertexId b) {
-    base_stamp_[v] = version_;
-    base_[v] = b;
+  void link_base(VertexId b, VertexId root) {
+    MS_DCHECK(b != root);
+    base_stamp_[b] = version_;
+    base_[b] = root;
   }
 
   VertexId lowest_common_base(VertexId a, VertexId b) {
@@ -171,20 +188,23 @@ class BoundedBlossomSolver {
     blossom_members_.clear();
     mark_path(v, cur_base, to);
     mark_path(to, cur_base, v);
-    // Only vertices discovered this search can belong to the blossom, so
-    // rebasing sweeps the discovered list instead of all n vertices.
+    // Linking the bases on the two tree paths under cur_base rebases
+    // every vertex of their blossoms at once.
+    work_ += blossom_members_.size();
+    for (const VertexId b : blossom_members_) link_base(b, cur_base);
+    // A vertex that is not yet even is uncontracted, hence its own base:
+    // the new even members are exactly the unused bases on the paths.
+    // Queue them in discovery order, the order a sweep over every
+    // discovered vertex would visit them in.
+    std::erase_if(blossom_members_, [this](VertexId b) { return is_used(b); });
+    std::sort(blossom_members_.begin(), blossom_members_.end(),
+              [this](VertexId a, VertexId b) {
+                return discovery_[a] < discovery_[b];
+              });
     const VertexId base_depth = depth_[cur_base];
-    const std::size_t discovered_count = discovered_.size();
-    work_ += discovered_count;
-    for (std::size_t idx = 0; idx < discovered_count; ++idx) {
-      const VertexId i = discovered_[idx];
-      if (blossom_stamp_[base_of(i)] == blossom_version_) {
-        set_base(i, cur_base);
-        if (!is_used(i)) {
-          set_used(i, base_depth);
-          queue.push(i);
-        }
-      }
+    for (const VertexId i : blossom_members_) {
+      set_used(i, base_depth);
+      queue.push(i);
     }
   }
 
@@ -203,6 +223,7 @@ class BoundedBlossomSolver {
   VertexId n_;
   VertexId depth_cap_;
   std::vector<VertexId> match_, parent_, base_, depth_;
+  std::vector<std::uint32_t> discovery_;  // discovery index, this search
   std::vector<std::uint32_t> used_stamp_, base_stamp_, parent_stamp_,
       blossom_stamp_;
   std::uint32_t version_ = 0;
@@ -210,7 +231,7 @@ class BoundedBlossomSolver {
   std::uint64_t work_ = 0;
   std::vector<VertexId> lcb_marks_;
   std::vector<VertexId> blossom_members_;
-  std::vector<VertexId> discovered_;
+  std::uint32_t discovered_ = 0;  // vertices discovered this search
 };
 
 }  // namespace

@@ -17,7 +17,12 @@
 // base), and the internal search cap carries a 2x slack over the
 // theoretical 2⌈1/ε⌉−1 so that contraction bookkeeping cannot prune a
 // genuinely short path. The delivered approximation is measured against
-// the exact blossom matcher in tests and experiments.
+// the exact blossom matcher in tests and experiments. Blossom bases live
+// in a version-stamped union-find: a contraction links the bases on the
+// two tree paths under the new base and queues, in discovery order, the
+// vertices on those paths that were not yet even. It costs
+// O(|tree paths|·α) rather than the O(|discovered|) of rescanning every
+// vertex the search has discovered.
 #pragma once
 
 #include <cstddef>
@@ -47,9 +52,10 @@ Matching approx_mcm(const Graph& g, double eps, Matching init,
 
 /// Work-sliced version of approx_mcm for the fully-dynamic window scheme
 /// (Theorem 3.5): the computation advances in caller-controlled budget
-/// increments measured in *work units* (roughly, adjacency entries
-/// scanned), so a dynamic algorithm can interleave a bounded amount of
-/// static recomputation with every edge update.
+/// increments measured in *work units* — adjacency entries scanned plus
+/// blossom members rebased, plus one per greedy or sweep cursor step —
+/// so a dynamic algorithm can interleave a bounded amount of static
+/// recomputation with every edge update.
 ///
 /// Pipeline: greedy maximal init (phase 0) followed by sweeps of
 /// depth-limited augmenting searches (phase 1), exactly like approx_mcm.
