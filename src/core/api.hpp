@@ -182,7 +182,9 @@ struct RunOutcome {
   std::uint64_t mem_peak_bytes = 0;
   /// Guard polls observed across all attempts. For a serial single-rung
   /// run this is a deterministic function of (g, cfg) — the cancellation
-  /// fuzz uses it to place cancel_after_polls trip points.
+  /// fuzz uses it to place cancel_after_polls trip points. A run the
+  /// cancel_after_polls hook stops reports exactly the trip point, with
+  /// parallel passes too (guard::RunGuard::polls()).
   std::uint64_t polls = 0;
   /// Human-readable trail of what tripped and what the ladder did.
   std::string detail;

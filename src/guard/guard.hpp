@@ -44,6 +44,7 @@
 // .budget, and the ladder emits guard.degrade.eps / .maximal.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
@@ -172,7 +173,14 @@ class RunGuard {
 
   /// Polls observed by this guard (every poll() while installed counts;
   /// the fuzz property uses it to size its trip-point distribution).
-  std::uint64_t polls() const { return polls_.load(std::memory_order_relaxed); }
+  /// With the cancel_after_polls hook armed the count stops at the trip
+  /// point: polls after it only observe the stop, and in a parallel pass
+  /// another lane's poll can race the tripping one, so counting them
+  /// would make a hooked run's count depend on scheduling.
+  std::uint64_t polls() const {
+    const std::uint64_t n = polls_.load(std::memory_order_relaxed);
+    return cancel_after_polls_ != 0 ? std::min(n, cancel_after_polls_) : n;
+  }
 
   /// The full poll: counts, applies the test hook, propagates a stopped
   /// parent, checks the deadline, returns stopped(). Call through

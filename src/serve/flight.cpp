@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <thread>
 
 #include "core/api.hpp"
 #include "guard/guard.hpp"
@@ -60,7 +61,26 @@ void FlightRecorder::record(const FlightRecord& r) {
   Slot& slot = slots_[static_cast<std::size_t>(ticket % slots_.size())];
   // seq_cst throughout the slot: the single total order is what makes a
   // reader's stable-seq check imply it saw no words from a later write.
-  slot.seq.store(2 * ticket + 1);
+  //
+  // Claim the slot before storing words. Tickets of one slot are a lap
+  // apart, and two of their writers must never interleave stores: the
+  // mix would be published under the later ticket's seq. A writer
+  // lapped by a newer ticket drops its record (the ring has already
+  // moved past it); a writer that finds the previous lap's writer
+  // mid-record waits for its nine stores. The seq of a slot only grows,
+  // so a reader that sees the same even value twice saw one writer's
+  // words.
+  const std::uint64_t claim = 2 * ticket + 1;
+  std::uint64_t seen = slot.seq.load();
+  for (;;) {
+    if (seen >= claim) return;  // lapped: a newer record owns the slot
+    if (seen % 2 == 1) {        // the previous lap is still writing
+      std::this_thread::yield();
+      seen = slot.seq.load();
+      continue;
+    }
+    if (slot.seq.compare_exchange_weak(seen, claim)) break;
+  }
   const auto words = pack(r);
   for (std::size_t i = 0; i < kPayloadWords; ++i) {
     slot.words[i].store(words[i]);

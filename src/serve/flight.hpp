@@ -1,22 +1,27 @@
 // Flight recorder — the daemon's always-on post-mortem ring
 // (DESIGN.md §16).
 //
-// A fixed-size ring of compact per-request records, written lock-free
-// at request completion and dumpable at any moment: on SIGUSR1 (the
+// A fixed-size ring of compact per-request records, written without a
+// mutex at request completion and dumpable at any moment: on SIGUSR1 (the
 // daemon tool), on every guard trip (ServerOptions::flight_path), and
 // on demand over the wire (STATS format=2). The ring answers "what were
 // the last N requests doing" after an incident without any per-request
 // filesystem traffic while the server is healthy.
 //
-// Concurrency contract: record() is lock-free (one relaxed ticket
-// fetch_add plus a bounded number of per-slot atomic stores) and safe
-// from any number of session threads; dump() runs concurrently with
-// writers and never blocks them. Each slot is a seqlock whose payload
-// words are themselves atomics (no plain-memory races, TSan-clean): the
-// writer brackets its word stores with seq = 2·ticket+1 / 2·ticket+2,
-// and a reader discards any slot whose seq is not the stable published
-// value for the ticket it expects — so a dump taken mid-overwrite skips
-// the contested slot instead of emitting a franken-record. All slot
+// Concurrency contract: record() takes a ticket (one fetch_add) and is
+// safe from any number of session threads; dump() runs concurrently
+// with writers and never blocks them. Each slot is a seqlock whose
+// payload words are themselves atomics (no plain-memory races,
+// TSan-clean): the writer claims the slot by a CAS of seq to
+// 2·ticket+1, stores its words, and publishes 2·ticket+2, and a reader
+// discards any slot whose seq is not the stable published value for
+// the ticket it expects — so a dump taken mid-overwrite skips the
+// contested slot instead of emitting a franken-record. The claim keeps
+// two writers of one slot (tickets a full lap apart) from interleaving
+// their stores: a lapped writer drops its stale record, and a writer
+// that finds the previous lap still mid-record waits for its nine
+// stores — the only wait in the recorder, and it needs capacity()
+// completions to land while one writer is inside record(). All slot
 // atomics are seq_cst; at request-completion granularity the fence cost
 // is noise, and the total order is what makes the discard check sound.
 //
@@ -71,7 +76,8 @@ class FlightRecorder {
     return next_.load(std::memory_order_acquire);
   }
 
-  /// Lock-free; safe from any number of threads.
+  /// Safe from any number of threads; never waits on dump(). A record
+  /// lapped by a newer one before it claimed its slot is dropped.
   void record(const FlightRecord& r);
 
   /// The last <= capacity() completed records, oldest first. Slots
