@@ -71,7 +71,9 @@ struct ApproxMatchingConfig {
   /// substreams mix64(seed, v), so its output is one deterministic
   /// function of (g, Δ, seed) for *every* threads value ≥ 2 (and 0) —
   /// but, being a different (equally distributed) drawing scheme, it is
-  /// not edge-identical to the threads == 1 legacy stream.
+  /// not edge-identical to the threads == 1 legacy stream. Neither path
+  /// runs when max degree <= 2Δ: G_Δ is then G at every threads value,
+  /// and build_matching_sparsifier returns a copy of g.
   std::size_t threads = 1;
   /// Matcher backend for the G_Δ matching stage; `threads` above also
   /// sets the frontier backend's lane count (1 = its deterministic
@@ -102,8 +104,17 @@ ApproxMatchingResult approx_maximum_matching(const Graph& g,
                                              const ApproxMatchingConfig& cfg,
                                              const Graph* prebuilt = nullptr);
 
-/// Convenience: builds the sparsifier G_Δ with parameters derived from
-/// (beta, eps) exactly as approx_maximum_matching would.
+/// Builds the sparsifier G_Δ with parameters derived from (beta, eps)
+/// exactly as approx_maximum_matching would; the one G_Δ builder behind
+/// approx_maximum_matching and the serve daemon's MATCH and SPARSIFY.
+///
+/// When g.max_degree() <= 2Δ every vertex keeps its whole neighbourhood
+/// (the §3.1 tweak), so G_Δ is g bit for bit: the result is a copy of g,
+/// made in O(n + m) with no marking pass, and `stats` reports
+/// identity = true with probes 0, marked 2m and edges m. The copy is a
+/// cancellation point ("sparsify.identity") and charges its CSR bytes to
+/// the active guard, like the build it replaces. Otherwise `cfg.threads`
+/// picks the legacy serial builder (1) or sparsify_parallel (0, k >= 2).
 Graph build_matching_sparsifier(const Graph& g,
                                 const ApproxMatchingConfig& cfg,
                                 SparsifierStats* stats = nullptr);

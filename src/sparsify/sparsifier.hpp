@@ -63,6 +63,11 @@ struct SparsifierStats {
   /// path); `probes` is their sum, aggregated after the join so the
   /// workers never share a counter.
   std::vector<std::uint64_t> shard_probes;
+  /// Set by build_matching_sparsifier when max degree <= 2Δ, where G_Δ is
+  /// G and the build is a copy of it: nothing is read (probes 0), every
+  /// edge counts as marked from both ends (marked 2m, edges m), and the
+  /// copy's time is all build_seconds. The sparsify* builders never set it.
+  bool identity = false;
 };
 
 /// Builds the marked-edge list of G_Δ. Deterministic O(n·Δ) time; the

@@ -2,11 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "gen/families.hpp"
 #include "matching/blossom.hpp"
+#include "obs/metrics.hpp"
+#include "util/thread_pool.hpp"
 
 namespace matchsparse {
 namespace {
+
+// Structural equality of two CSR graphs: offsets (through the degrees),
+// adjacency, max degree and non-isolated count.
+void expect_same_graph(const Graph& a, const Graph& b,
+                       const std::string& label) {
+  ASSERT_EQ(a.num_vertices(), b.num_vertices()) << label;
+  EXPECT_EQ(a.num_edges(), b.num_edges()) << label;
+  EXPECT_EQ(a.max_degree(), b.max_degree()) << label;
+  EXPECT_EQ(a.num_non_isolated(), b.num_non_isolated()) << label;
+  for (VertexId v = 0; v < a.num_vertices(); ++v) {
+    const auto na = a.neighbors(v);
+    const auto nb = b.neighbors(v);
+    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
+        << label << ", vertex " << v;
+  }
+}
+
+VertexId delta_of(const ApproxMatchingConfig& cfg) {
+  return SparsifierParams::practical(cfg.beta, cfg.eps, cfg.delta_scale)
+      .delta;
+}
 
 TEST(Api, VersionIsSet) { EXPECT_STRNE(version(), ""); }
 
@@ -73,8 +100,78 @@ TEST(Api, SparsifierBuilderMatchesConfig) {
   for (const Edge& e : gd.edge_list()) EXPECT_TRUE(g.has_edge(e.u, e.v));
 }
 
+TEST(Api, IdentityRegimeReturnsTheGraph) {
+  // With max degree <= 2Δ every vertex keeps its whole neighbourhood, so
+  // G_Δ is G on every lane count and the build is a copy.
+  struct Input {
+    std::string name;
+    VertexId beta;
+    Graph g;
+  };
+  const std::vector<Input> inputs = {
+      {"unitdisk", 5, gen::find_family("unitdisk").make(400, 3)},
+      {"line", 2, gen::find_family("line").make(400, 4)},
+      {"cliqueunion", 4, gen::find_family("cliqueunion").make(500, 5)},
+  };
+  for (const Input& in : inputs) {
+    ApproxMatchingConfig cfg;
+    cfg.beta = in.beta;
+    cfg.seed = 21;
+    ASSERT_LE(in.g.max_degree(), 2 * delta_of(cfg)) << in.name;
+    for (const std::size_t threads : {1u, 2u, 0u}) {
+      cfg.threads = threads;
+      const std::string label =
+          in.name + ", threads " + std::to_string(threads);
+      obs::Registry registry;
+      const obs::ScopedMetricsRegistry scope(registry);
+      SparsifierStats stats;
+      const Graph gd = build_matching_sparsifier(in.g, cfg, &stats);
+      expect_same_graph(gd, in.g, label);
+      EXPECT_TRUE(stats.identity) << label;
+      EXPECT_EQ(stats.probes, 0u) << label;
+      EXPECT_EQ(stats.edges, in.g.num_edges()) << label;
+      EXPECT_EQ(stats.marked, 2 * in.g.num_edges()) << label;
+#if MATCHSPARSE_OBS_ENABLED
+      EXPECT_EQ(registry.snapshot().counter_value("sparsify.identity"), 1u)
+          << label;
+      (void)build_matching_sparsifier(in.g, cfg);
+      EXPECT_EQ(registry.snapshot().counter_value("sparsify.identity"), 2u)
+          << label;
+#endif
+    }
+  }
+
+  // The boundary: max degree exactly 2Δ still copies; 2Δ + 1 samples.
+  ApproxMatchingConfig cfg;
+  cfg.beta = 1;
+  cfg.eps = 0.5;
+  const VertexId delta = delta_of(cfg);
+  const Graph at = gen::complete_graph(2 * delta + 1);
+  const Graph above = gen::complete_graph(2 * delta + 2);
+  ASSERT_EQ(at.max_degree(), 2 * delta);
+  for (const std::size_t threads : {1u, 2u, 0u}) {
+    cfg.threads = threads;
+    const std::string label = "threads " + std::to_string(threads);
+    SparsifierStats at_stats;
+    expect_same_graph(build_matching_sparsifier(at, cfg, &at_stats), at,
+                      label);
+    EXPECT_TRUE(at_stats.identity) << label;
+    SparsifierStats above_stats;
+    (void)build_matching_sparsifier(above, cfg, &above_stats);
+    EXPECT_FALSE(above_stats.identity) << label;
+    EXPECT_GT(above_stats.probes, 0u) << label;
+    const std::size_t lanes =
+        threads == 1 ? 0  // the legacy serial stream keeps no shards
+                     : std::min<std::size_t>(
+                           threads == 0 ? default_pool().size() : threads,
+                           above.num_vertices());
+    EXPECT_EQ(above_stats.shard_probes.size(), lanes) << label;
+  }
+}
+
 TEST(Api, ParallelThreadsProduceIdenticalSparsifier) {
-  const Graph g = gen::find_family("cliqueunion").make(500, 5);
+  // Max degree 499 > 2Δ = 384, so the build samples on the sharded path.
+  const Graph g = gen::complete_graph(500);
   ApproxMatchingConfig cfg;
   cfg.beta = 4;
   cfg.seed = 21;

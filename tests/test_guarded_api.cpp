@@ -147,7 +147,7 @@ TEST(GuardedApi, AggressiveDeadlineTerminatesWithinTwiceTheBudget) {
   // The wall-clock assertion is deliberately slack (scheduler noise on
   // loaded CI runners); the CI guard-stress job pins the hard 2x bound
   // with `timeout` on a 10x-oversized CLI run.
-  const Graph g = unit_disk_instance(20000, 9);
+  const Graph g = unit_disk_instance(100000, 9);
   ApproxMatchingConfig cfg = small_cfg();
   cfg.eps = 0.05;
   RunLimits limits;
