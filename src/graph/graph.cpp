@@ -131,8 +131,8 @@ Graph Graph::build_parallel(VertexId n,
   g.offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
 
   // One span for the whole build, plus one per phase (histogram/counting,
-  // scatter, sort) — the shard scatter is the pass the sparsifier pipeline
-  // leans on, so it gets its own timing bucket in traces.
+  // scatter, transpose) — the shard scatter is the pass the sparsifier
+  // pipeline leans on, so it gets its own timing bucket in traces.
   const obs::Span span_build("graph.csr.build");
 
   // Cancellation protocol for the parallel passes: workers only ever
@@ -223,80 +223,104 @@ Graph Graph::build_parallel(VertexId n,
     });
     guard::check("graph.csr.scatter");
   }
-  hist.clear();
-  hist.shrink_to_fit();
 
-  // Pass D (parallel over vertex blocks): per-vertex neighbor sort, plus
-  // dedup or duplicate rejection depending on the policy.
-  std::vector<VertexId> deduped_degree(
-      policy == DuplicatePolicy::kDedupPerVertex ? n : 0);
+  // Pass D (parallel over source blocks): a transpose sorts and dedups
+  // every list, writing it straight into its final place. The scattered
+  // arc multiset is symmetric — {u,v} put v in u's list and u in v's, as
+  // often as the edge occurs — so appending x to the list of each
+  // neighbour of x, for x ascending, rebuilds every list sorted. A
+  // repeated edge {x,y} repeats y within x's list, so it shows while x is
+  // the source and is written once.
+  //
+  // Source block b (B = num_parts contiguous ranges of about equal arc
+  // counts) owns row hist[b] of pass A's charged table. A cell packs the
+  // last source of b that reached it (x + 1, high half) with a count or
+  // slot (low half; a degree always fits):
+  //   D1 counts the distinct sources b sends to each vertex;
+  //   D2 turns the counts into b's first slot in each list, and the list
+  //      lengths into the final offsets and degree statistics;
+  //   D3 writes each distinct arc into its slot.
+  // Every block fills its own ordered run of each list, so the result
+  // equals a sequential transpose for any B.
+  constexpr EdgeIndex kLow = 0xFFFFFFFFu;
+  std::vector<VertexId> source_begin(num_parts + 1, n);
+  for (std::size_t b = 0; b < num_parts; ++b) {
+    source_begin[b] = static_cast<VertexId>(
+        std::lower_bound(g.offsets_.begin(), g.offsets_.end() - 1,
+                         total_arcs * b / num_parts) -
+        g.offsets_.begin());
+  }
+  // Calls visit(x, y, low half of the cell) for the first arc from x to
+  // each neighbour y, over block b's sources in ascending order, and then
+  // tags the cell with x and bumps its low half. Stops early on a poll.
+  const auto for_each_distinct_arc = [&](std::size_t b, const auto& visit) {
+    EdgeIndex* const row = hist[b].data();
+    for (VertexId x = source_begin[b]; x < source_begin[b + 1]; ++x) {
+      if (guard::poll()) return;
+      const EdgeIndex tag = (static_cast<EdgeIndex>(x) + 1) << 32;
+      for (VertexId y : g.neighbors(x)) {
+        const EdgeIndex cell = row[y];
+        if ((cell & ~kLow) == tag) continue;  // a repeat of {x, y}
+        visit(x, y, cell & kLow);
+        row[y] = tag | ((cell & kLow) + 1);
+      }
+    }
+  };
+
+  std::vector<EdgeIndex> final_offsets(static_cast<std::size_t>(n) + 1, 0);
   std::vector<VertexId> block_max_degree(blocks, 0);
   std::vector<VertexId> block_non_isolated(blocks, 0);
+  std::vector<VertexId> sorted;
   {
-    const obs::Span span("graph.csr.sort");
-    parallel_for(pool, blocks, [&](std::size_t b) {
-      const auto [begin, end] = vertex_block(n, blocks, b);
-      for (VertexId v = begin; v < end; ++v) {
-        if (guard::poll()) return;
-        const auto list_begin =
-            g.adjacency_.begin() +
-            static_cast<std::ptrdiff_t>(g.offsets_[v]);
-        const auto list_end =
-            g.adjacency_.begin() +
-            static_cast<std::ptrdiff_t>(g.offsets_[v + 1]);
-        std::sort(list_begin, list_end);
-        VertexId deg;
-        if (policy == DuplicatePolicy::kDedupPerVertex) {
-          const auto unique_end = std::unique(list_begin, list_end);
-          deg = static_cast<VertexId>(unique_end - list_begin);
-          deduped_degree[v] = deg;
-        } else {
-          MS_CHECK_MSG(std::adjacent_find(list_begin, list_end) == list_end,
-                       "duplicate edge in edge list");
-          deg = static_cast<VertexId>(list_end - list_begin);
-        }
-        block_max_degree[b] = std::max(block_max_degree[b], deg);
-        if (deg > 0) ++block_non_isolated[b];
-      }
+    const obs::Span span("graph.csr.transpose");
+    parallel_for(pool, num_parts, [&](std::size_t b) {
+      std::fill_n(hist[b].data(), n, 0);
+      for_each_distinct_arc(b, [](VertexId, VertexId, EdgeIndex) {});
     });
-  }
-  guard::check("graph.csr.sort");
-  for (std::size_t b = 0; b < blocks; ++b) {
-    g.max_degree_ = std::max(g.max_degree_, block_max_degree[b]);
-    g.non_isolated_ += block_non_isolated[b];
-  }
+    guard::check("graph.csr.transpose");
 
-  if (policy == DuplicatePolicy::kReject) {
-    g.num_edges_ = total_arcs / 2;
-    return g;
-  }
-
-  // Pass E (dedup only): compact away the per-list tails left by unique().
-  std::vector<EdgeIndex> final_offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    final_offsets[v + 1] = final_offsets[v] + deduped_degree[v];
-  }
-  g.num_edges_ = final_offsets[n] / 2;
-  if (final_offsets[n] != total_arcs) {
-    const guard::MemCharge charge_compacted(
-        static_cast<std::uint64_t>(final_offsets[n]) * sizeof(VertexId),
-        "csr compaction");
-    std::vector<VertexId> compacted(final_offsets[n]);
     parallel_for(pool, blocks, [&](std::size_t b) {
       if (guard::poll()) return;
       const auto [begin, end] = vertex_block(n, blocks, b);
       for (VertexId v = begin; v < end; ++v) {
-        std::copy_n(g.adjacency_.begin() +
-                        static_cast<std::ptrdiff_t>(g.offsets_[v]),
-                    deduped_degree[v],
-                    compacted.begin() +
-                        static_cast<std::ptrdiff_t>(final_offsets[v]));
+        EdgeIndex run = 0;
+        for (std::size_t r = 0; r < num_parts; ++r) {
+          const EdgeIndex count = hist[r][v] & kLow;
+          hist[r][v] = run;
+          run += count;
+        }
+        final_offsets[v + 1] = run;
+        const auto deg = static_cast<VertexId>(run);
+        block_max_degree[b] = std::max(block_max_degree[b], deg);
+        if (deg > 0) ++block_non_isolated[b];
       }
     });
-    guard::check("graph.csr.compact");
-    g.adjacency_ = std::move(compacted);
+    guard::check("graph.csr.transpose");
+    for (VertexId v = 0; v < n; ++v) final_offsets[v + 1] += final_offsets[v];
+    MS_CHECK_MSG(policy == DuplicatePolicy::kDedupPerVertex ||
+                     final_offsets[n] == total_arcs,
+                 "duplicate edge in edge list");
+
+    // The second arc array is charged here, on the orchestrator.
+    const guard::MemCharge charge_sorted(
+        static_cast<std::uint64_t>(final_offsets[n]) * sizeof(VertexId),
+        "csr transpose");
+    sorted.resize(final_offsets[n]);
+    parallel_for(pool, num_parts, [&](std::size_t b) {
+      VertexId* const out = sorted.data();
+      for_each_distinct_arc(b, [&](VertexId x, VertexId y, EdgeIndex slot) {
+        out[final_offsets[y] + slot] = x;
+      });
+    });
+    guard::check("graph.csr.transpose");
   }
+  for (std::size_t b = 0; b < blocks; ++b) {
+    g.max_degree_ = std::max(g.max_degree_, block_max_degree[b]);
+    g.non_isolated_ += block_non_isolated[b];
+  }
+  g.num_edges_ = final_offsets[n] / 2;
   g.offsets_ = std::move(final_offsets);
+  g.adjacency_ = std::move(sorted);  // frees the scattered arcs
   return g;
 }
 

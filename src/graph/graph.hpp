@@ -42,20 +42,20 @@ class Graph {
 
   /// Parallel drop-in for from_edges(): identical contract and an
   /// identical resulting graph (same offsets and sorted adjacency), built
-  /// on `pool` with no global edge sort — per-shard degree histograms, a
+  /// on `pool` with no sort at all — per-shard degree histograms, a
   /// sequential prefix sum, a race-free scatter through per-shard cursors,
-  /// and a parallel per-vertex neighbor sort.
+  /// and a parallel transpose that writes every list in sorted order.
   static Graph from_edges_parallel(VertexId n, const EdgeList& edges,
                                    ThreadPool& pool);
 
   /// Parallel CSR construction straight from sharded, possibly-duplicated
   /// edge lists (e.g. the per-shard marked-edge output of the sparsifier,
-  /// where an edge marked by both endpoints appears twice). Duplicates are
-  /// eliminated with a per-adjacency-list sort+unique — after scattering,
-  /// every duplicate of {u,v} lands in u's and v's lists, so no global
-  /// normalization pass is needed. Self-loops are rejected. The result is
-  /// identical to from_edges() on the concatenated+normalized input, for
-  /// any shard partition.
+  /// where an edge marked by both endpoints appears twice). After the
+  /// scatter every duplicate of {u,v} lands in u's and v's lists, and the
+  /// transpose that sorts the lists writes each neighbour once, so no
+  /// global normalization pass is needed. Self-loops are rejected. The
+  /// result is identical to from_edges() on the concatenated+normalized
+  /// input, for any shard partition.
   static Graph from_edge_shards_parallel(VertexId n,
                                          std::span<const EdgeList> shards,
                                          ThreadPool& pool);

@@ -125,6 +125,110 @@ TEST(ParallelPipeline, ShardBuilderEmptyInputs) {
   EXPECT_EQ(isolated.num_edges(), 0u);
 }
 
+// Edge cases of the transpose that sorts the adjacency lists: every
+// build must equal Graph::from_edges on the normalised edge list.
+Graph reference_of(VertexId n, const std::vector<EdgeList>& shards) {
+  EdgeList all;
+  for (const EdgeList& shard : shards) {
+    all.insert(all.end(), shard.begin(), shard.end());
+  }
+  normalize_edge_list(all);
+  return Graph::from_edges(n, all);
+}
+
+TEST(ParallelPipeline, TransposeDedupsHeavyDuplicationAcrossShards) {
+  // Every edge 1-6 times, in either orientation, scattered over 9 shards.
+  Rng rng(23);
+  const Graph base = gen::erdos_renyi(400, 16.0, rng);
+  std::vector<EdgeList> shards(9);
+  for (const Edge& e : base.edge_list()) {
+    for (std::uint64_t c = 0, copies = 1 + rng.below(6); c < copies; ++c) {
+      shards[rng.below(shards.size())].push_back(
+          rng.chance(0.5) ? e : Edge(e.v, e.u));
+    }
+  }
+  const Graph reference = reference_of(base.num_vertices(), shards);
+  expect_identical(reference, base, "normalised reference");
+  for (std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    expect_identical(
+        Graph::from_edge_shards_parallel(base.num_vertices(), shards, pool),
+        reference,
+        ("duplicated shards, " + std::to_string(threads) + " lanes")
+            .c_str());
+  }
+}
+
+TEST(ParallelPipeline, TransposeKeepsIsolatedVertices) {
+  // Isolated vertices at the front, in the middle and at the tail, plus a
+  // star whose centre holds most arcs, so source blocks split unevenly.
+  const VertexId n = 900;
+  EdgeList edges;
+  for (VertexId v = 301; v < 600; ++v) edges.emplace_back(300, v);
+  for (VertexId v = 650; v + 1 < 800; v += 2) edges.emplace_back(v, v + 1);
+  const Graph reference = Graph::from_edges(n, edges);
+  ThreadPool pool(4);
+  for (std::size_t parts : {1u, 3u, 16u}) {
+    std::vector<EdgeList> shards(parts);
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      shards[i % parts].push_back(edges[i]);
+    }
+    const Graph built = Graph::from_edge_shards_parallel(n, shards, pool);
+    expect_identical(built, reference,
+                     ("parts=" + std::to_string(parts)).c_str());
+    EXPECT_EQ(built.num_non_isolated(), 300u + 150u);
+    EXPECT_EQ(built.degree(0), 0u);
+    EXPECT_EQ(built.degree(n - 1), 0u);
+  }
+  expect_identical(Graph::from_edges_parallel(n, edges, pool), reference,
+                   "from_edges_parallel");
+}
+
+TEST(ParallelPipeline, TransposeOnePartEqualsManyParts) {
+  // One part transposes serially; 2, 5 and 32 parts (more than the four
+  // lanes) split it into source blocks. Every split gives the same graph.
+  Rng rng(29);
+  const Graph g = gen::clique_union(800, 30, 3, rng);
+  const EdgeList edges = g.edge_list();
+  ThreadPool pool(4);
+  for (std::size_t parts : {1u, 2u, 5u, 32u}) {
+    std::vector<EdgeList> shards(parts);
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const Edge e = edges[i];
+      // Twice each, once per orientation, in different parts.
+      shards[i % parts].push_back(e);
+      shards[(i + 1) % parts].push_back(Edge(e.v, e.u));
+    }
+    expect_identical(
+        Graph::from_edge_shards_parallel(g.num_vertices(), shards, pool),
+        reference_of(g.num_vertices(), shards),
+        ("parts=" + std::to_string(parts)).c_str());
+  }
+}
+
+TEST(ParallelPipeline, FromEdgesParallelRejectsDuplicates) {
+  // The child re-executes the binary, so it starts its pool threads in a
+  // single-threaded process.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(3);
+        (void)Graph::from_edges_parallel(4, {{0, 1}, {1, 2}, {0, 1}}, pool);
+      },
+      "duplicate edge in edge list");
+  // A reversed copy in another chunk: >= 3 x 4096 edges split three ways.
+  Rng rng(31);
+  EdgeList edges = gen::erdos_renyi(3000, 10.0, rng).edge_list();
+  ASSERT_GE(edges.size(), 3u * 4096u);
+  edges.emplace_back(edges.front().v, edges.front().u);
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(3);
+        (void)Graph::from_edges_parallel(3000, edges, pool);
+      },
+      "duplicate edge in edge list");
+}
+
 TEST(ParallelPipeline, ProbeAccountingSurvivesTheJoin) {
   const Graph g = gen::complete_graph(250);
   const VertexId delta = 5;
