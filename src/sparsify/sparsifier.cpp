@@ -48,10 +48,12 @@ VertexId delta_from_formula(VertexId beta, double eps, double scale) {
 
 // Marks Δ edges per vertex for the contiguous range [begin, end) using the
 // per-vertex substream mix64(seed, v); shared by every sharded builder.
-// `pos` is the caller's (shard-local) sparse position array.
+// `pos` is the caller's (shard-local) sparse position array and `picks`
+// its Δ-slot buffer for the drawn positions.
 void mark_vertex_range(const Graph& g, VertexId delta, std::uint64_t seed,
                        VertexId begin, VertexId end, EdgeList& out,
-                       SparseArray<EdgeIndex>& pos, ProbeMeter* meter) {
+                       SparseArray<EdgeIndex>& pos,
+                       std::vector<VertexId>& picks, ProbeMeter* meter) {
   for (VertexId v = begin; v < end; ++v) {
     // Cancellation point (non-throwing: this runs on pool workers). A
     // bailed shard leaves a short edge list behind; the orchestrator
@@ -76,9 +78,12 @@ void mark_vertex_range(const Graph& g, VertexId delta, std::uint64_t seed,
       const EdgeIndex vj = pos.contains(j) ? pos.get(j) : j;
       pos.set(i, vj);
       pos.set(j, vi);
-      out.push_back(
-          Edge(v, g.neighbor(v, static_cast<VertexId>(vi), meter))
-              .normalized());
+      picks[t] = static_cast<VertexId>(vi);
+    }
+    // Gather after drawing: on a cold row the Δ independent neighbour
+    // loads overlap instead of each waiting behind the next draw.
+    for (VertexId t = 0; t < delta; ++t) {
+      out.push_back(Edge(v, g.neighbor(v, picks[t], meter)).normalized());
     }
   }
 }
@@ -102,9 +107,18 @@ void mark_edges_sharded(const Graph& g, VertexId delta, std::uint64_t seed,
     const VertexId end = static_cast<VertexId>(
         (static_cast<std::uint64_t>(n) * (shard + 1)) / shards);
     EdgeList& out = shard_edges[shard];
+    // Exact mark count, from unmetered degree reads so that the probe
+    // totals stay those of the marking itself.
+    std::size_t marks = 0;
+    for (VertexId v = begin; v < end; ++v) {
+      const VertexId deg = g.degree(v);
+      marks += deg <= 2 * delta ? deg : delta;
+    }
+    out.reserve(marks);
     SparseArray<EdgeIndex> pos(g.max_degree());
+    std::vector<VertexId> picks(delta);
     ProbeMeter meter;
-    mark_vertex_range(g, delta, seed, begin, end, out, pos, &meter);
+    mark_vertex_range(g, delta, seed, begin, end, out, pos, picks, &meter);
     shard_probes[shard] = meter.probes();
     if (sort_shards) std::sort(out.begin(), out.end());
   });
