@@ -169,6 +169,44 @@ TEST(Api, IdentityRegimeReturnsTheGraph) {
   }
 }
 
+TEST(Api, IdentityRegimeGoldenMateHashes) {
+  // Pins approx_maximum_matching's output where G_Δ = G, so a change to
+  // how the identity regime reaches the matcher cannot move a mate.
+  struct Input {
+    std::string name;
+    VertexId beta;
+    Graph g;
+    std::uint64_t golden;
+  };
+  const std::vector<Input> inputs = {
+      {"unitdisk", 5, gen::find_family("unitdisk").make(2000, 31),
+       0x65d0cf0b75e8461fu},
+      {"line", 2, gen::find_family("line").make(2000, 32),
+       0x7c97728d50c6b8eeu},
+      {"cliqueunion", 4, gen::find_family("cliqueunion").make(2000, 33),
+       0x970d8d34a2a38e2du},
+  };
+  for (const Input& in : inputs) {
+    ApproxMatchingConfig cfg;
+    cfg.beta = in.beta;
+    cfg.eps = 0.25;
+    cfg.seed = 41;
+    ASSERT_LE(in.g.max_degree(), 2 * delta_of(cfg)) << in.name;
+    for (const std::size_t threads : {1u, 0u}) {
+      cfg.threads = threads;
+      const ApproxMatchingResult r = approx_maximum_matching(in.g, cfg);
+      std::uint64_t h = in.g.num_vertices();
+      for (VertexId v = 0; v < in.g.num_vertices(); ++v) {
+        h = mix64(h, r.matching.mate(v));
+      }
+      EXPECT_EQ(h, in.golden)
+          << in.name << ", threads " << threads << ": 0x" << std::hex << h;
+      EXPECT_EQ(r.sparsifier_edges, in.g.num_edges()) << in.name;
+      EXPECT_EQ(r.probes, 0u) << in.name;
+    }
+  }
+}
+
 TEST(Api, ParallelThreadsProduceIdenticalSparsifier) {
   // Max degree 499 > 2Δ = 384, so the build samples on the sharded path.
   const Graph g = gen::complete_graph(500);
