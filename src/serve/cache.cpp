@@ -75,6 +75,17 @@ void GraphCache::erase_locked(Lru::iterator it, std::uint64_t* bytes_freed) {
   lru_.erase(it);  // ~MemCharge releases the budget bytes
 }
 
+void GraphCache::erase_dependents_locked(const std::string& source) {
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    const auto next = std::next(it);
+    if (!it->is_graph && it->source == source) {
+      erase_locked(it, nullptr);
+      ++stats_.evictions;
+    }
+    it = next;
+  }
+}
+
 std::shared_ptr<const Graph> GraphCache::put_locked(
     const std::string& key, const std::string& source, bool is_graph, Graph g,
     std::uint64_t* bytes_charged, bool* replaced) {
@@ -89,16 +100,7 @@ std::shared_ptr<const Graph> GraphCache::put_locked(
     erase_locked(old->second, nullptr);
     ++stats_.evictions;
   }
-  if (is_graph) {
-    for (auto it = lru_.begin(); it != lru_.end();) {
-      const auto next = std::next(it);
-      if (!it->is_graph && it->source == source) {
-        erase_locked(it, nullptr);
-        ++stats_.evictions;
-      }
-      it = next;
-    }
-  }
+  if (is_graph) erase_dependents_locked(source);
 
   const std::uint64_t bytes = graph_bytes(g);
   auto shared = std::make_shared<const Graph>(std::move(g));
@@ -108,10 +110,20 @@ std::shared_ptr<const Graph> GraphCache::put_locked(
     return shared;
   }
 
-  // Evict from the LRU tail until the newcomer fits the cap.
+  // Evict from the LRU tail until the newcomer fits the cap. An evicted
+  // graph takes its sparsifiers with it: MATCH and SPARSIFY refuse an
+  // unknown graph before any sparsifier lookup, so they would sit
+  // charged but unreachable until a re-LOAD dropped them. For the same
+  // reason a sparsifier never evicts its own graph; it is handed back
+  // uncached instead.
   while (guard_.memory().used() + bytes > guard_.memory().cap() &&
          !lru_.empty()) {
-    erase_locked(std::prev(lru_.end()), nullptr);
+    const auto victim = std::prev(lru_.end());
+    if (victim->is_graph) {
+      if (!is_graph && victim->source == source) return shared;
+      erase_dependents_locked(victim->source);
+    }
+    erase_locked(victim, nullptr);
     ++stats_.evictions;
   }
 
