@@ -23,13 +23,18 @@ namespace {
 /// Depth-limited Edmonds search with version-stamped scratch arrays so
 /// that each search costs O(work explored), not O(n) initialisation.
 /// Blossom bases live in a union-find over the same stamps, so a
-/// contraction costs O(|tree paths|·α), not O(|discovered|).
+/// contraction costs O(|tree paths|·α), not O(|discovered|). The nine
+/// per-vertex arrays are charged to the guard active at construction
+/// before they are allocated, and released with the solver.
 class BoundedBlossomSolver {
  public:
   BoundedBlossomSolver(const Graph& g, VertexId depth_cap)
       : g_(g),
         n_(g.num_vertices()),
         depth_cap_(depth_cap),
+        charge_(static_cast<std::uint64_t>(n_) *
+                    (4 * sizeof(VertexId) + 5 * sizeof(std::uint32_t)),
+                "matching.aug arrays"),
         match_(n_, kNoVertex),
         parent_(n_, kNoVertex),
         base_(n_, 0),
@@ -222,6 +227,7 @@ class BoundedBlossomSolver {
   const Graph& g_;
   VertexId n_;
   VertexId depth_cap_;
+  guard::MemCharge charge_;  // declared before the arrays it covers
   std::vector<VertexId> match_, parent_, base_, depth_;
   std::vector<std::uint32_t> discovery_;  // discovery index, this search
   std::vector<std::uint32_t> used_stamp_, base_stamp_, parent_stamp_,

@@ -43,7 +43,9 @@ struct ApproxMcmStats {
 };
 
 /// (1+eps)-approximate MCM on a general graph. O(m) greedy init plus
-/// depth-limited augmenting searches.
+/// depth-limited augmenting searches. The solver's O(n) working arrays
+/// are charged to the active guard ("matching.aug arrays") before they
+/// are allocated, so a memory budget can trip here.
 Matching approx_mcm(const Graph& g, double eps, ApproxMcmStats* stats = nullptr);
 
 /// Same, starting from a caller-provided valid matching.
@@ -61,7 +63,9 @@ Matching approx_mcm(const Graph& g, double eps, Matching init,
 /// depth-limited augmenting searches (phase 1), exactly like approx_mcm.
 class ResumableApproxMcm {
  public:
-  /// g must outlive this object.
+  /// g must outlive this object. The solver arrays are charged to the
+  /// guard active at construction until destruction, so that guard must
+  /// outlive this object too.
   ResumableApproxMcm(const Graph& g, double eps);
   ~ResumableApproxMcm();
   ResumableApproxMcm(ResumableApproxMcm&&) noexcept;

@@ -139,6 +139,14 @@ class HopcroftKarp {
 }  // namespace
 
 Matching hopcroft_karp(const Graph& g, int max_phases) {
+  // side_, mate_, dist_ and dist_epoch_, charged before two_color
+  // allocates the first of them. The matcher is serial, so the charge
+  // lands on the calling thread's guard.
+  const guard::MemCharge charge(
+      static_cast<std::uint64_t>(g.num_vertices()) *
+          (sizeof(std::uint8_t) + 2 * sizeof(VertexId) +
+           sizeof(std::uint64_t)),
+      "matching.hk arrays");
   Bipartition bp = two_color(g);
   MS_CHECK_MSG(bp.bipartite, "hopcroft_karp requires a bipartite graph");
   return HopcroftKarp(g, std::move(bp.side)).run(max_phases);

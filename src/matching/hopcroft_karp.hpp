@@ -23,6 +23,8 @@ Bipartition two_color(const Graph& g);
 /// Hopcroft–Karp. `max_phases < 0` runs to the exact optimum; otherwise the
 /// algorithm stops after max_phases phases, guaranteeing a
 /// (1 + 1/max_phases)-approximation. g must be bipartite (MS_CHECK).
+/// The O(n) working arrays are charged to the active guard ("matching.hk
+/// arrays") before they are allocated.
 Matching hopcroft_karp(const Graph& g, int max_phases = -1);
 
 /// Phase count for a (1+eps) guarantee: ceil(1/eps).

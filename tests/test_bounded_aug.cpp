@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "gen/generators.hpp"
+#include "guard/guard.hpp"
 #include "matching/blossom.hpp"
 #include "matching/greedy.hpp"
 #include "matching/verify.hpp"
@@ -116,6 +118,42 @@ TEST(ApproxMcm, EmptyGraph) {
 // size change.
 int mate_or_minus_one(const Matching& m, VertexId v) {
   return m.mate(v) == kNoVertex ? -1 : static_cast<int>(m.mate(v));
+}
+
+TEST(ApproxMcm, ChargesItsArraysToTheActiveGuard) {
+  Rng rng(7);
+  const Graph g = gen::erdos_renyi(300, 5.0, rng);
+  // Nine 4-byte arrays per vertex, charged before they are allocated.
+  const std::uint64_t arrays = 36ull * g.num_vertices();
+  guard::RunGuard::Limits tight;
+  tight.mem_budget_bytes = 1;
+  guard::RunGuard starved(tight);
+  try {
+    const guard::ScopedGuard installed(starved);
+    (void)approx_mcm(g, 0.25);
+    ADD_FAILURE() << "a 1-byte budget did not trip";
+  } catch (const guard::BudgetExceeded& e) {
+    const std::string expected =
+        "charging matching.aug arrays: " + std::to_string(arrays) + " B";
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(starved.stop_reason(), guard::StopReason::kBudget);
+
+  // Unlimited, the charge is the whole peak, released on return, and the
+  // matching is the unguarded one.
+  guard::RunGuard roomy;
+  Matching charged;
+  {
+    const guard::ScopedGuard installed(roomy);
+    charged = approx_mcm(g, 0.25);
+  }
+  EXPECT_EQ(roomy.memory().peak(), arrays);
+  EXPECT_EQ(roomy.memory().used(), 0u);
+  const Matching plain = approx_mcm(g, 0.25);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(charged.mate(v), plain.mate(v)) << "vertex " << v;
+  }
 }
 
 TEST(ApproxMcm, GoldenMatesBlossomHeavyLineGraph) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gen/generators.hpp"
+#include "guard/guard.hpp"
 #include "matching/blossom.hpp"
 #include "util/rng.hpp"
 
@@ -118,6 +121,41 @@ TEST(HopcroftKarp, ReplayIdentityAcrossManyPhases) {
   const Matching c = hopcroft_karp(b);
   for (VertexId v = 0; v < b.num_vertices(); ++v) {
     EXPECT_EQ(a.mate(v), c.mate(v)) << "vertex " << v;
+  }
+}
+
+TEST(HopcroftKarp, ChargesItsArraysToTheActiveGuard) {
+  Rng rng(8);
+  const Graph g = random_bipartite(150, 150, 0.03, rng);
+  // side_ (1 B), mate_ and dist_ (4 B each) and dist_epoch_ (8 B) per
+  // vertex, charged before two_color allocates the first of them.
+  const std::uint64_t arrays = 17ull * g.num_vertices();
+  guard::RunGuard::Limits tight;
+  tight.mem_budget_bytes = 1;
+  guard::RunGuard starved(tight);
+  try {
+    const guard::ScopedGuard installed(starved);
+    (void)hopcroft_karp(g, 4);
+    ADD_FAILURE() << "a 1-byte budget did not trip";
+  } catch (const guard::BudgetExceeded& e) {
+    const std::string expected =
+        "charging matching.hk arrays: " + std::to_string(arrays) + " B";
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(starved.stop_reason(), guard::StopReason::kBudget);
+
+  guard::RunGuard roomy;
+  Matching charged;
+  {
+    const guard::ScopedGuard installed(roomy);
+    charged = hopcroft_karp(g, 4);
+  }
+  EXPECT_EQ(roomy.memory().peak(), arrays);
+  EXPECT_EQ(roomy.memory().used(), 0u);
+  const Matching plain = hopcroft_karp(g, 4);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(charged.mate(v), plain.mate(v)) << "vertex " << v;
   }
 }
 
