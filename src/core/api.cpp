@@ -24,19 +24,23 @@ VertexId delta_for(const ApproxMatchingConfig& cfg) {
                    .delta;
 }
 
-/// G_Δ when it is G (max degree <= 2Δ): under the §3.1 tweak every vertex
-/// keeps its whole neighbourhood, so any builder would rebuild g bit for
-/// bit. The copy is still a cancellation point and charges its CSR bytes,
-/// so deadlines, cancels and budgets trip here as they would in a build.
-Graph identity_sparsifier(const Graph& g, SparsifierStats* stats) {
+/// The identity step of G_Δ = G (sparsifier_is_graph): a cancellation
+/// point with the build's span, counters and stats, so deadlines and
+/// cancels trip here as they would in a build. With `copy` non-null it
+/// also copies g into *copy and charges the copy's CSR bytes;
+/// approx_maximum_matching passes nullptr and matches on g itself.
+void identity_step(const Graph& g, SparsifierStats* stats, Graph* copy) {
   WallTimer timer;
   const obs::Span span("sparsify.identity");
   guard::check("sparsify.identity");
-  const guard::MemCharge charge(
-      (static_cast<std::uint64_t>(g.num_vertices()) + 1) * sizeof(EdgeIndex) +
-          2 * static_cast<std::uint64_t>(g.num_edges()) * sizeof(VertexId),
-      "sparsifier identity copy");
-  Graph copy = g;
+  if (copy != nullptr) {
+    const guard::MemCharge charge(
+        (static_cast<std::uint64_t>(g.num_vertices()) + 1) *
+                sizeof(EdgeIndex) +
+            2 * static_cast<std::uint64_t>(g.num_edges()) * sizeof(VertexId),
+        "sparsifier identity copy");
+    *copy = g;
+  }
   const std::uint64_t marked = 2 * static_cast<std::uint64_t>(g.num_edges());
   obs::counter("sparsify.identity").add(1);
   // Every edge counts as marked from both ends; no entry was read, and
@@ -51,18 +55,23 @@ Graph identity_sparsifier(const Graph& g, SparsifierStats* stats) {
     stats->total_seconds = timer.seconds();
     stats->build_seconds = stats->total_seconds;
   }
-  return copy;
 }
 
 }  // namespace
 
+bool sparsifier_is_graph(const Graph& g, const ApproxMatchingConfig& cfg) {
+  return g.max_degree() <= 2 * static_cast<std::uint64_t>(delta_for(cfg));
+}
+
 Graph build_matching_sparsifier(const Graph& g,
                                 const ApproxMatchingConfig& cfg,
                                 SparsifierStats* stats) {
-  const VertexId delta = delta_for(cfg);
-  if (g.max_degree() <= 2 * static_cast<std::uint64_t>(delta)) {
-    return identity_sparsifier(g, stats);
+  if (sparsifier_is_graph(g, cfg)) {
+    Graph copy;
+    identity_step(g, stats, &copy);
+    return copy;
   }
+  const VertexId delta = delta_for(cfg);
   if (cfg.threads == 1) {
     Rng rng(cfg.seed);
     return sparsify(g, delta, rng, stats);
@@ -78,11 +87,18 @@ ApproxMatchingResult approx_maximum_matching(
   ApproxMatchingResult result;
   SparsifierStats stats;
   Graph built;
-  if (prebuilt == nullptr) {
+  const Graph* sparsifier = prebuilt;
+  if (sparsifier == nullptr) {
     const obs::Span span("pipeline.sparsify");
-    built = build_matching_sparsifier(g, cfg, &stats);
+    if (sparsifier_is_graph(g, cfg)) {
+      identity_step(g, &stats, nullptr);
+      sparsifier = &g;
+    } else {
+      built = build_matching_sparsifier(g, cfg, &stats);
+      sparsifier = &built;
+    }
   }
-  const Graph& g_delta = prebuilt != nullptr ? *prebuilt : built;
+  const Graph& g_delta = *sparsifier;
   result.delta = delta_for(cfg);
   result.sparsifier_edges = g_delta.num_edges();
   result.probes = stats.probes;

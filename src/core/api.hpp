@@ -72,8 +72,8 @@ struct ApproxMatchingConfig {
   /// function of (g, Δ, seed) for *every* threads value ≥ 2 (and 0) —
   /// but, being a different (equally distributed) drawing scheme, it is
   /// not edge-identical to the threads == 1 legacy stream. Neither path
-  /// runs when max degree <= 2Δ: G_Δ is then G at every threads value,
-  /// and build_matching_sparsifier returns a copy of g.
+  /// runs when max degree <= 2Δ (sparsifier_is_graph): G_Δ is then G at
+  /// every threads value.
   std::size_t threads = 1;
   /// Matcher backend for the G_Δ matching stage; `threads` above also
   /// sets the frontier backend's lane count (1 = its deterministic
@@ -94,6 +94,11 @@ struct ApproxMatchingResult {
 /// O(n·(β/ε²)·log(1/ε)) time by matching on the sparsifier G_Δ. The time
 /// bound is deterministic; the approximation factor holds w.h.p.
 ///
+/// When sparsifier_is_graph(g, cfg), G_Δ is g: the sparsify stage is the
+/// identity step alone (its "sparsify.identity" cancellation point,
+/// span, counters and stats, no copy and no memory charge) and the
+/// matcher runs on g itself.
+///
 /// `prebuilt`, when non-null, must be the graph build_matching_sparsifier
 /// (g, cfg) would return — the caller vouches for the identity (the serve
 /// daemon's sparsifier cache keys on exactly (source, Δ, seed, scheme)).
@@ -104,17 +109,23 @@ ApproxMatchingResult approx_maximum_matching(const Graph& g,
                                              const ApproxMatchingConfig& cfg,
                                              const Graph* prebuilt = nullptr);
 
+/// True when G_Δ is g itself: with g.max_degree() <= 2Δ every vertex
+/// keeps its whole neighbourhood (the §3.1 tweak), so any builder would
+/// return g bit for bit. The one rule behind approx_maximum_matching,
+/// build_matching_sparsifier and the serve daemon's identity regime.
+bool sparsifier_is_graph(const Graph& g, const ApproxMatchingConfig& cfg);
+
 /// Builds the sparsifier G_Δ with parameters derived from (beta, eps)
 /// exactly as approx_maximum_matching would; the one G_Δ builder behind
 /// approx_maximum_matching and the serve daemon's MATCH and SPARSIFY.
 ///
-/// When g.max_degree() <= 2Δ every vertex keeps its whole neighbourhood
-/// (the §3.1 tweak), so G_Δ is g bit for bit: the result is a copy of g,
-/// made in O(n + m) with no marking pass, and `stats` reports
-/// identity = true with probes 0, marked 2m and edges m. The copy is a
-/// cancellation point ("sparsify.identity") and charges its CSR bytes to
-/// the active guard, like the build it replaces. Otherwise `cfg.threads`
-/// picks the legacy serial builder (1) or sparsify_parallel (0, k >= 2).
+/// When sparsifier_is_graph(g, cfg) the result is a copy of g, made in
+/// O(n + m) with no marking pass, for callers that want G_Δ as an
+/// object; `stats` reports identity = true with probes 0, marked 2m and
+/// edges m. The copy is a cancellation point ("sparsify.identity") and
+/// charges its CSR bytes to the active guard, like the build it
+/// replaces. Otherwise `cfg.threads` picks the legacy serial builder (1)
+/// or sparsify_parallel (0, k >= 2).
 Graph build_matching_sparsifier(const Graph& g,
                                 const ApproxMatchingConfig& cfg,
                                 SparsifierStats* stats = nullptr);
@@ -137,8 +148,9 @@ struct RunLimits {
   /// deadline, the ε-ladder starts after 50 ms instead of burning the
   /// whole window on an attempt that was never going to finish.
   double soft_deadline_frac = 0.5;
-  /// Byte cap on concurrently charged big arrays (CSR, mark buffers);
-  /// 0 = unlimited. See guard::MemoryBudget.
+  /// Byte cap on concurrently charged big arrays (CSR, mark buffers,
+  /// the matchers' working arrays); 0 = unlimited. See
+  /// guard::MemoryBudget.
   std::uint64_t mem_budget_bytes = 0;
   /// What to trade when a limit trips (the ladder, Thm 2.1):
   ///   kOff     — no retries: report kFailed.

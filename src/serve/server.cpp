@@ -679,13 +679,20 @@ MatchReply Server::run_match(const JobRequest& req,
   const VertexId delta = delta_for(req);
   rep.delta = delta;
 
+  // In the identity regime G_Δ is the cached graph itself, so MATCH is a
+  // hit on the graph's own entry: no sparsifier lookup, build or insert,
+  // and the library call is exactly the direct one.
+  const bool identity = use_cache && sparsifier_is_graph(*graph, cfg);
   RunOutcome outcome;
   std::shared_ptr<const Graph> sp;
-  if (use_cache) {
+  if (use_cache && !identity) {
     sp = cache_.get_sparsifier(key_of(req, delta));
   }
 
-  if (sp != nullptr) {
+  if (identity) {
+    rep.cache_hit = 1;
+    outcome = approx_maximum_matching_guarded(*graph, cfg, limits);
+  } else if (sp != nullptr) {
     rep.cache_hit = 1;
     outcome = approx_maximum_matching_guarded(*graph, cfg, limits, sp.get());
   } else if (!use_cache) {
@@ -787,6 +794,12 @@ bool Server::run_sparsify(const JobRequest& req,
   const ApproxMatchingConfig cfg = config_for(req);
   const VertexId delta = delta_for(req);
   reply->delta = delta;
+  if (sparsifier_is_graph(*graph, cfg)) {
+    // G_Δ is the cached graph itself: nothing to build, charge or insert.
+    reply->cache_hit = 1;
+    reply->edges = graph->num_edges();
+    return true;
+  }
   const SparsifierKey key = key_of(req, delta);
   if (const auto sp = cache_.get_sparsifier(key)) {
     reply->cache_hit = 1;

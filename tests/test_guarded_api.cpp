@@ -9,6 +9,7 @@
 #include "gen/generators.hpp"
 #include "matching/blossom.hpp"
 #include "matching/greedy.hpp"
+#include "matching/hopcroft_karp.hpp"
 #include "util/timer.hpp"
 
 namespace matchsparse {
@@ -113,6 +114,52 @@ TEST(GuardedApi, BudgetPressureWalksLadderToMaximalFallback) {
                                             g.num_non_isolated(), 5));
   EXPECT_EQ(out.size_floor, maximal_matching_floor(g.num_non_isolated(), 5));
   EXPECT_GE(2 * out.result.matching.size(), opt.size());  // 2-approx
+}
+
+TEST(GuardedApi, IdentityRegimeChargesOnlyTheMatcher) {
+  // Max degree <= 2Δ: G_Δ is g, so the run makes no copy and its only
+  // charge is the matcher's arrays. A budget between those arrays and
+  // g's CSR bytes therefore completes at full quality.
+  const VertexId n = 2000;
+  Rng rng(17);
+  const Graph g =
+      gen::unit_disk(n, gen::unit_disk_radius_for_degree(n, 20.0), rng);
+  const ApproxMatchingConfig cfg = small_cfg();
+  ASSERT_TRUE(sparsifier_is_graph(g, cfg));
+  ASSERT_FALSE(two_color(g).bipartite);  // the matcher is approx_mcm
+  const std::uint64_t matcher = 36ull * n;  // nine 4-byte arrays
+  const std::uint64_t csr =
+      (static_cast<std::uint64_t>(n) + 1) * sizeof(EdgeIndex) +
+      2 * static_cast<std::uint64_t>(g.num_edges()) * sizeof(VertexId);
+  ASSERT_LT(matcher, csr);
+  RunLimits limits;
+  limits.mem_budget_bytes = (matcher + csr) / 2;
+  const RunOutcome out = approx_maximum_matching_guarded(g, cfg, limits);
+  EXPECT_EQ(out.status, RunStatus::kOk) << out.detail;
+  EXPECT_EQ(out.mem_peak_bytes, matcher);
+  expect_same_matching(approx_maximum_matching(g, cfg).matching,
+                       out.result.matching);
+}
+
+TEST(GuardedApi, MaximalFallbackChargesNothing) {
+  // A 1-byte budget admits no charge, so every ε rung trips (on the
+  // identity regime's matcher arrays first). The fallback completes only
+  // because it charges nothing; a refused charge is not recorded, so
+  // the peak stays 0.
+  const Graph g = unit_disk_instance(500, 7);
+  ASSERT_TRUE(sparsifier_is_graph(g, small_cfg()));
+  RunLimits limits;
+  limits.mem_budget_bytes = 1;
+  const RunOutcome out = approx_maximum_matching_guarded(g, small_cfg(),
+                                                         limits);
+  EXPECT_EQ(out.status, RunStatus::kDegradedMaximal);
+  EXPECT_EQ(out.stop_reason, guard::StopReason::kBudget);
+  EXPECT_FALSE(out.partial);
+  EXPECT_EQ(out.mem_peak_bytes, 0u);
+  EXPECT_NE(out.detail.find("charging matching.aug arrays"),
+            std::string::npos)
+      << out.detail;
+  expect_same_matching(greedy_maximal_matching(g), out.result.matching);
 }
 
 TEST(GuardedApi, DegradeOffFailsInsteadOfRetrying) {
