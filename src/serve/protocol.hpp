@@ -170,12 +170,16 @@ struct LoadReply {
   std::uint8_t replaced = 0;  // 1 when an older graph of this name was evicted
 };
 
+/// When the graph is its own G_Δ (sparsifier_is_graph: max degree at
+/// most 2Δ) SPARSIFY builds and inserts nothing: edges = m,
+/// cache_hit = 1, build_ms = 0 and bytes_charged = 0.
 struct SparsifyReply {
   VertexId delta = 0;
-  EdgeIndex edges = 0;
+  EdgeIndex edges = 0;  // |E(G_Δ)|
   std::uint8_t cache_hit = 0;
   double build_ms = 0.0;
-  std::uint64_t bytes_charged = 0;  // 0 on a hit or when caching was refused
+  /// 0 on a hit, in the identity regime, or when caching was refused.
+  std::uint64_t bytes_charged = 0;
 };
 
 /// MATCH and PIPELINE share this shape (PIPELINE always reports
@@ -184,6 +188,8 @@ struct MatchReply {
   std::uint8_t status = 0;       // RunStatus numeric value
   std::uint8_t stop_reason = 0;  // guard::StopReason numeric value
   std::uint8_t partial = 0;
+  /// MATCH: 1 when G_Δ came from the cache — a cached sparsifier, or the
+  /// cached graph itself when it is its own G_Δ (sparsifier_is_graph).
   std::uint8_t cache_hit = 0;
   double eps_effective = 0.0;
   double guarantee = 0.0;
