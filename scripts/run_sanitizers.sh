@@ -8,12 +8,13 @@
 # TSan covers the concurrency-bearing suites (thread pool, sharded
 # sparsifier, fused sparsify->CSR pipeline, the observability layer's
 # span recording + metrics registry, the run-guard's cross-thread
-# cancel/poll/budget traffic, and the frontier matcher's CAS kernels at
-# 8 lanes); ASan+UBSan reruns the same suites for memory errors in the
-# histogram/scatter/compaction passes. The thread lane additionally
-# replays the frontier matchcheck properties through the fuzzer, which
-# exercises the lock-free DFS under seed-randomized graphs. The address
-# lane additionally runs the serial bounded-augmentation matcher suites.
+# cancel/poll/budget traffic, and the serve daemon); ASan+UBSan reruns
+# the same suites for memory errors in the histogram/scatter/compaction
+# passes and for undefined behaviour, float-to-integer cast overflow
+# included. A UBSan report aborts the suite (-fno-sanitize-recover), so
+# it fails the lane. The thread lane additionally replays the guarded
+# isolation matchcheck properties through the fuzzer. The address lane
+# additionally runs the serial bounded-augmentation matcher suites.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -32,10 +33,6 @@ OBS_FILTER='Obs*:Bucket*'
 # races concurrent budget charges, and ScopedGuard install/restore is an
 # atomic exchange other threads observe mid-flight.
 GUARD_FILTER='*'
-# The whole frontier suite: level-stamp CAS in the BFS kernel, vertex
-# claims in the lock-free DFS, and the all-losers contention case run
-# lanes up to 8 on dedicated pools.
-FRONTIER_FILTER='*'
 # The whole run-context suite (DESIGN.md §14): eight concurrent guarded
 # pipelines on one shared pool, ambient-slot inheritance into workers,
 # cross-thread trip attribution, and per-context metrics merges.
@@ -65,7 +62,7 @@ run_one() {
   cmake -B "$dir" -S . -DMS_SANITIZE="$san" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build "$dir" --target test_util test_sparsify test_obs \
-    test_guard test_run_context test_frontier_matching test_serve \
+    test_guard test_run_context test_serve \
     test_serve_telemetry \
     -j "$(nproc)"
   "$dir/tests/test_util" --gtest_filter="$UTIL_FILTER"
@@ -73,7 +70,6 @@ run_one() {
   "$dir/tests/test_obs" --gtest_filter="$OBS_FILTER"
   "$dir/tests/test_guard" --gtest_filter="$GUARD_FILTER"
   "$dir/tests/test_run_context" --gtest_filter="$RUN_CONTEXT_FILTER"
-  "$dir/tests/test_frontier_matching" --gtest_filter="$FRONTIER_FILTER"
   "$dir/tests/test_serve" --gtest_filter="$SERVE_FILTER"
   "$dir/tests/test_serve_telemetry" --gtest_filter="$SERVE_TELEMETRY_FILTER"
   if [ "$san" = "address" ]; then
@@ -82,15 +78,11 @@ run_one() {
     "$dir/tests/test_dynamic" --gtest_filter="$DYNAMIC_FILTER"
   fi
   if [ "$san" = "thread" ]; then
-    # Seed-randomized frontier workloads under TSan: the matchcheck
-    # properties drive serial + 2/4/8-lane pool runs and mid-phase
-    # cancellation against the CAS kernels. concurrent_guard_isolation
+    # Seed-randomized guarded runs under TSan: concurrent_guard_isolation
     # overlaps whole guarded pipelines under distinct RunContexts on the
     # shared pool and cross-checks the survivor bit-for-bit.
     cmake --build "$dir" --target matchsparse_fuzz -j "$(nproc)"
     "$dir/tools/matchsparse_fuzz" --budget 5s --seed 1 \
-      --property frontier_vs_hk --property frontier_vs_blossom \
-      --property guard_cancel_frontier \
       --property concurrent_guard_isolation \
       --property serve_request_isolation
     # Daemon soak under TSan: the mixed workload (clean clients, QoS

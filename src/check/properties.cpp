@@ -31,7 +31,6 @@
 #include "matching/assadi_solomon.hpp"
 #include "matching/blossom.hpp"
 #include "matching/bounded_aug.hpp"
-#include "matching/frontier.hpp"
 #include "matching/greedy.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/verify.hpp"
@@ -570,194 +569,6 @@ Result prop_mpc_machine_invariance(const Graph& g, const PropertyConfig& cfg) {
   return Result::pass();
 }
 
-
-// ---------------------------------------------------------------------------
-// Frontier matcher vs the serial matchers (DESIGN.md §13).
-// ---------------------------------------------------------------------------
-
-/// Bipartite differential: the frontier kernels run to completion must
-/// equal exact Hopcroft–Karp in SIZE at every policy/lane count, the
-/// serial policy must be replay- and chunk-invariant in the matched SET,
-/// and every output must be a valid matching.
-Result prop_frontier_vs_hk(const Graph& g, const PropertyConfig&) {
-  if (g.num_vertices() > kMaxOracleVertices) {
-    return Result::skip("frontier differential capped");
-  }
-  if (!two_color(g).bipartite) return Result::skip("graph not bipartite");
-  const Matching hk = hopcroft_karp(g);
-
-  FrontierOptions serial_opt;
-  serial_opt.lanes = 1;
-  const Matching a = frontier_hopcroft_karp(g, serial_opt);
-  if (Result r = check_valid(g, a, "frontier[serial]"); r.failed()) return r;
-  if (a.size() != hk.size()) {
-    return Result::fail("frontier[serial]=" + sz(a.size()) + " hk=" +
-                        sz(hk.size()));
-  }
-
-  // Serial determinism: the matched SET is a pure function of the graph —
-  // identical across replays and chunk sizes.
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
-    FrontierOptions small = serial_opt;
-    small.chunk = chunk;
-    const Matching b = frontier_hopcroft_karp(g, small);
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      if (a.mate(v) != b.mate(v)) {
-        return Result::fail("serial frontier matched set depends on chunk=" +
-                            sz(chunk) + " at vertex " + sz(v));
-      }
-    }
-  }
-
-  // Pool policy: size bit-identical at every lane count (run to
-  // completion ⇒ maximum ⇒ schedule-independent), on dedicated pools so
-  // the lanes are real threads even on small hosts.
-  for (const std::size_t lanes : {std::size_t{2}, std::size_t{8}}) {
-    ThreadPool pool(lanes);
-    FrontierOptions popt;
-    popt.lanes = lanes;
-    popt.pool = &pool;
-    popt.chunk = 4;  // small slices force real interleaving
-    const Matching m = frontier_hopcroft_karp(g, popt);
-    if (Result r = check_valid(g, m, "frontier[pool]"); r.failed()) return r;
-    if (m.size() != hk.size()) {
-      return Result::fail("frontier size at lanes=" + sz(lanes) + " is " +
-                          sz(m.size()) + ", hk=" + sz(hk.size()));
-    }
-  }
-  return Result::pass();
-}
-
-/// General-graph differential for the kFrontier backend entry point:
-/// bipartite inputs are exact (== blossom), non-bipartite inputs route
-/// through the bounded-augmentation driver and keep its deterministic
-/// k/(k+1) floor.
-Result prop_frontier_vs_blossom(const Graph& g, const PropertyConfig& cfg) {
-  if (g.num_vertices() > kMaxOracleVertices) {
-    return Result::skip("blossom oracle capped");
-  }
-  const double eps = (cfg.eps > 0.0 && cfg.eps < 1.0) ? cfg.eps : 0.25;
-  FrontierOptions opt;
-  opt.lanes = 1;
-  const Matching m = frontier_mcm(g, eps, opt);
-  if (Result r = check_valid(g, m, "frontier_mcm"); r.failed()) return r;
-  const VertexId best = blossom_mcm(g).size();
-  if (m.size() > best) {
-    return Result::fail("frontier_mcm=" + sz(m.size()) + " exceeds opt=" +
-                        sz(best));
-  }
-  if (two_color(g).bipartite) {
-    if (m.size() != best) {
-      return Result::fail("bipartite frontier_mcm=" + sz(m.size()) +
-                          " not exact, opt=" + sz(best));
-    }
-    return Result::pass();
-  }
-  const auto k = static_cast<std::uint64_t>((path_cap_for_eps(eps) + 1) / 2);
-  if (static_cast<std::uint64_t>(m.size()) * (k + 1) <
-      static_cast<std::uint64_t>(best) * k) {
-    return Result::fail("frontier_mcm=" + sz(m.size()) +
-                        " below k/(k+1)*opt, k=" + sz(k) + " opt=" + sz(best));
-  }
-  return Result::pass();
-}
-
-/// Mid-phase cancellation of the frontier kernels: a seed-placed trip at
-/// an arbitrary frontier-chunk poll unwinds cleanly (typed Cancelled,
-/// RAII-only), a fresh run afterwards is bit-identical to a never-
-/// guarded run, a 1-byte budget trips the MemCharge on the stamp arrays,
-/// and a pool-policy run under the same trip either cancels or completes
-/// at the exact size — never a torn state.
-Result prop_guard_cancel_frontier(const Graph& g, const PropertyConfig& cfg) {
-  if (!two_color(g).bipartite) return Result::skip("graph not bipartite");
-  FrontierOptions serial_opt;
-  serial_opt.lanes = 1;
-  serial_opt.chunk = 4;  // fine-grained polls → dense trip-point space
-
-  guard::RunGuard counting;
-  Matching base(g.num_vertices());
-  {
-    const guard::ScopedGuard installed(counting);
-    base = frontier_hopcroft_karp(g, serial_opt);
-  }
-  if (counting.polls() == 0) {
-    return Result::skip("no poll sites reached (graph too small)");
-  }
-
-  const std::uint64_t trip =
-      1 + mix64(cfg.seed, 0xf407157ULL) % counting.polls();
-  guard::RunGuard::Limits gl;
-  gl.cancel_after_polls = trip;
-  guard::RunGuard tripping(gl);
-  bool cancelled = false;
-  try {
-    const guard::ScopedGuard installed(tripping);
-    (void)frontier_hopcroft_karp(g, serial_opt);
-  } catch (const guard::Cancelled&) {
-    cancelled = true;
-  }
-  if (!cancelled) {
-    return Result::fail("serial frontier did not observe cancel at poll " +
-                        sz(trip) + "/" + sz(counting.polls()));
-  }
-
-  // Re-run bit-identity: cancellation left no residue (the engine is
-  // per-call state; this pins that it stays that way).
-  const Matching rerun = frontier_hopcroft_karp(g, serial_opt);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (rerun.mate(v) != base.mate(v)) {
-      return Result::fail("frontier re-run after cancel diverges at vertex " +
-                          sz(v) + " (trip " + sz(trip) + ")");
-    }
-  }
-
-  // MemCharge on the stamp/frontier arrays: a 1-byte budget must trip
-  // before any kernel runs.
-  guard::RunGuard::Limits bl;
-  bl.mem_budget_bytes = 1;
-  guard::RunGuard budgeted(bl);
-  bool budget_tripped = false;
-  try {
-    const guard::ScopedGuard installed(budgeted);
-    (void)frontier_hopcroft_karp(g, serial_opt);
-  } catch (const guard::BudgetExceeded&) {
-    budget_tripped = true;
-  }
-  if (!budget_tripped && g.num_vertices() > 0) {
-    return Result::fail("1-byte budget did not trip the frontier MemCharge");
-  }
-
-  // Pool policy under the same trip: workers bail via poll(), the
-  // orchestrator throws after the join — or the run wins the race and
-  // completes, in which case it must be the exact size.
-  ThreadPool pool(4);
-  FrontierOptions popt;
-  popt.lanes = 4;
-  popt.pool = &pool;
-  popt.chunk = 4;
-  guard::RunGuard pool_guard(gl);
-  try {
-    const guard::ScopedGuard installed(pool_guard);
-    const Matching m = frontier_hopcroft_karp(g, popt);
-    if (m.size() != base.size()) {
-      return Result::fail("uncancelled pool run size=" + sz(m.size()) +
-                          " != base=" + sz(base.size()));
-    }
-  } catch (const guard::Cancelled&) {
-    // expected most of the time; clean unwind is the assertion
-  }
-  const Matching pool_clean = frontier_hopcroft_karp(g, popt);
-  if (Result r = check_valid(g, pool_clean, "frontier[pool-clean]");
-      r.failed()) {
-    return r;
-  }
-  if (pool_clean.size() != base.size()) {
-    return Result::fail("pool re-run size=" + sz(pool_clean.size()) +
-                        " != base=" + sz(base.size()));
-  }
-  return Result::pass();
-}
-
 // --------------------------------------------------------------------------
 // Run-guard: mid-run cancellation is safe and leaves no residue
 // --------------------------------------------------------------------------
@@ -1256,18 +1067,6 @@ std::vector<Property> build_properties() {
        "MPC bottom-delta sketch pipeline invariant in machine count, vs "
        "blossom upper bound",
        prop_mpc_machine_invariance},
-      {"frontier_vs_hk",
-       "frontier kernels (serial + pool policies) vs exact Hopcroft-Karp: "
-       "size identity at 1/2/8 lanes, serial matched-set determinism",
-       prop_frontier_vs_hk},
-      {"frontier_vs_blossom",
-       "frontier_mcm (bipartite exact / general bounded-aug driver) vs "
-       "blossom",
-       prop_frontier_vs_blossom},
-      {"guard_cancel_frontier",
-       "frontier kernels: seed-placed mid-phase cancel (serial + pool), "
-       "bit-identical re-run, MemCharge budget trip",
-       prop_guard_cancel_frontier},
       {"guard_cancel_rerun",
        "guarded runs: seed-placed mid-run cancellation vs clean outcome + "
        "bit-identical re-run + budget ladder fallback",

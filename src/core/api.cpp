@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "matching/frontier.hpp"
 #include "matching/greedy.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "obs/metrics.hpp"
@@ -107,12 +106,7 @@ ApproxMatchingResult approx_maximum_matching(
   WallTimer timer;
   {
     const obs::Span span("pipeline.match");
-    if (cfg.matcher == MatcherBackend::kFrontier && cfg.bipartite_fast_path) {
-      FrontierOptions fopt;
-      fopt.lanes = cfg.threads;
-      result.matching = frontier_mcm(g_delta, cfg.eps, fopt);
-    } else if (cfg.matcher == MatcherBackend::kSerial &&
-               cfg.bipartite_fast_path && two_color(g_delta).bipartite) {
+    if (cfg.bipartite_fast_path && two_color(g_delta).bipartite) {
       result.matching = hopcroft_karp(g_delta, hk_phases_for_eps(cfg.eps));
     } else {
       result.matching = approx_mcm(g_delta, cfg.eps);

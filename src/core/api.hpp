@@ -30,21 +30,6 @@ namespace matchsparse {
 /// Library version string.
 const char* version();
 
-/// Which matcher runs on the sparsifier G_Δ (DESIGN.md §13).
-enum class MatcherBackend {
-  /// The pointer-chasing serial matchers: phase-truncated Hopcroft–Karp
-  /// when the sparsifier is bipartite, the bounded-augmentation driver
-  /// otherwise. The legacy default.
-  kSerial,
-  /// Flat level-synchronous frontier kernels over the CSR
-  /// (matching/frontier.hpp): serial policy at threads == 1, thread-pool
-  /// policy otherwise. Bipartite sparsifiers run to completion — exact
-  /// on G_Δ, never below the truncated serial guarantee, and
-  /// size-deterministic at every thread count; non-bipartite sparsifiers
-  /// fall back to the bounded-augmentation driver.
-  kFrontier,
-};
-
 struct ApproxMatchingConfig {
   /// Neighborhood independence bound of the input. If unknown, measure it
   /// with neighborhood_independence() or use a family bound (line graphs:
@@ -73,12 +58,8 @@ struct ApproxMatchingConfig {
   /// but, being a different (equally distributed) drawing scheme, it is
   /// not edge-identical to the threads == 1 legacy stream. Neither path
   /// runs when max degree <= 2Δ (sparsifier_is_graph): G_Δ is then G at
-  /// every threads value.
+  /// every threads value. The matcher on G_Δ is serial at every value.
   std::size_t threads = 1;
-  /// Matcher backend for the G_Δ matching stage; `threads` above also
-  /// sets the frontier backend's lane count (1 = its deterministic
-  /// serial policy, 0 = one lane per pool worker).
-  MatcherBackend matcher = MatcherBackend::kSerial;
 };
 
 struct ApproxMatchingResult {
@@ -139,7 +120,8 @@ Graph build_matching_sparsifier(const Graph& g,
 
 struct RunLimits {
   /// Hard wall-clock ceiling per attempt window, in milliseconds;
-  /// 0 = unlimited. The ε-coarsening rungs share this window; the greedy
+  /// 0 = unlimited, and so is a value the clock cannot reach (+inf,
+  /// 1e300). The ε-coarsening rungs share this window; the greedy
   /// fallback gets one fresh window of its own, so the guarded call
   /// returns within 2× this deadline in the worst case.
   double deadline_ms = 0.0;

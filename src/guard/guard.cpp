@@ -1,8 +1,10 @@
 #include "guard/guard.hpp"
 
 #include <chrono>
+#include <limits>
 
 #include "obs/metrics.hpp"
+#include "util/common.hpp"
 
 namespace matchsparse::guard {
 
@@ -13,6 +15,16 @@ std::uint64_t now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// The absolute steady-clock time `ms` after `start`, or 0 (none) when
+/// `ms` is not positive or the sum would not fit the clock's range: a
+/// deadline no clock reading can reach is no deadline, +inf included.
+std::uint64_t deadline_ns(std::uint64_t start, double ms) {
+  if (!(ms > 0.0)) return 0;
+  const auto span = saturating_cast<std::uint64_t>(ms * 1e6);
+  if (span > std::numeric_limits<std::uint64_t>::max() - start) return 0;
+  return start + span;
 }
 
 /// Trip-event counters (one add per run at most — the polls themselves
@@ -81,13 +93,8 @@ RunGuard::RunGuard(const Limits& limits, obs::Registry* metrics)
       metrics_(metrics),
       memory_(limits.mem_budget_bytes) {
   const std::uint64_t start = now_ns();
-  if (limits.deadline_ms > 0.0) {
-    hard_ns_ = start + static_cast<std::uint64_t>(limits.deadline_ms * 1e6);
-  }
-  if (limits.soft_deadline_ms > 0.0) {
-    soft_ns_ =
-        start + static_cast<std::uint64_t>(limits.soft_deadline_ms * 1e6);
-  }
+  hard_ns_ = deadline_ns(start, limits.deadline_ms);
+  soft_ns_ = deadline_ns(start, limits.soft_deadline_ms);
 }
 
 void RunGuard::trip(StopReason reason) {

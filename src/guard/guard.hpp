@@ -133,10 +133,12 @@ class MemoryBudget {
 class RunGuard {
  public:
   struct Limits {
-    /// Hard wall-clock ceiling in milliseconds; 0 = none. Observed at
+    /// Hard wall-clock ceiling in milliseconds; 0 = none, and so is any
+    /// value the steady clock cannot reach (+inf, 1e300). Observed at
     /// polling sites (cooperative — no watchdog thread).
     double deadline_ms = 0.0;
-    /// Soft deadline in milliseconds; 0 = none. Never stops the run:
+    /// Soft deadline in milliseconds; 0 = none, as is any value past the
+    /// clock's range. Never stops the run:
     /// soft_expired() turns true and the ladder uses it to degrade at
     /// the next phase boundary instead of burning the hard budget.
     double soft_deadline_ms = 0.0;

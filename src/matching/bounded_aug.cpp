@@ -15,7 +15,7 @@ namespace matchsparse {
 VertexId path_cap_for_eps(double eps) {
   MS_CHECK(eps > 0.0);
   const double k = std::ceil(1.0 / eps);
-  return static_cast<VertexId>(2.0 * k - 1.0);
+  return std::min(saturating_cast<VertexId>(2.0 * k - 1.0), kNoVertex / 2);
 }
 
 namespace {

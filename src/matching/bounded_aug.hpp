@@ -33,7 +33,8 @@
 namespace matchsparse {
 
 /// Theoretical augmenting-path length cap for a (1+eps) guarantee:
-/// 2*ceil(1/eps) − 1.
+/// 2*ceil(1/eps) − 1, clamped to VertexId max / 2 (approx_mcm searches
+/// to twice the cap).
 VertexId path_cap_for_eps(double eps);
 
 struct ApproxMcmStats {

@@ -36,7 +36,7 @@ Bipartition two_color(const Graph& g) {
 
 int hk_phases_for_eps(double eps) {
   MS_CHECK(eps > 0.0);
-  return static_cast<int>(std::ceil(1.0 / eps));
+  return saturating_cast<int>(std::ceil(1.0 / eps));
 }
 
 namespace {

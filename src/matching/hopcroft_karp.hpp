@@ -27,7 +27,7 @@ Bipartition two_color(const Graph& g);
 /// arrays") before they are allocated.
 Matching hopcroft_karp(const Graph& g, int max_phases = -1);
 
-/// Phase count for a (1+eps) guarantee: ceil(1/eps).
+/// Phase count for a (1+eps) guarantee: ceil(1/eps), clamped to INT_MAX.
 int hk_phases_for_eps(double eps);
 
 }  // namespace matchsparse

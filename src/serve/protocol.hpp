@@ -126,7 +126,7 @@ struct JobRequest {
   double deadline_ms = 0.0;
   std::uint64_t mem_budget_bytes = 0;
   std::uint8_t degrade = 2;  // 0 off, 1 eps, 2 maximal (RunLimits order)
-  std::uint8_t matcher = 0;  // 0 serial, 1 frontier
+  std::uint8_t matcher = 0;  // 0 serial; 1 (the frontier backend) removed
   /// Test hook, forwarded to RunLimits::cancel_after_polls: trips a
   /// deterministic kCancelled on the N-th guard poll of the first
   /// attempt. 0 = off.

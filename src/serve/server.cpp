@@ -26,8 +26,6 @@ ApproxMatchingConfig config_for(const JobRequest& req) {
   cfg.eps = req.eps;
   cfg.seed = req.seed;
   cfg.threads = static_cast<std::size_t>(req.threads);
-  cfg.matcher =
-      req.matcher == 1 ? MatcherBackend::kFrontier : MatcherBackend::kSerial;
   return cfg;
 }
 
@@ -553,11 +551,14 @@ bool Server::handle_job_impl(Transport& t, const Frame& f, FlightRecord* rec) {
   if (req->degrade > 2) {
     return refuse(ErrorCode::kBadConfig, "unknown degrade mode");
   }
-  if (req->matcher > 1) {
-    return refuse(ErrorCode::kBadConfig, "unknown matcher backend");
+  // The wire keeps the matcher byte so rev-1/rev-2 frames stay valid.
+  if (req->matcher != 0) {
+    return refuse(ErrorCode::kBadConfig, req->matcher == 1
+                                             ? "frontier backend removed"
+                                             : "unknown matcher backend");
   }
   // The lane count sizes per-lane working arrays in the parallel
-  // backends; an unchecked u64 from the wire would let one frame
+  // sparsifier; an unchecked u64 from the wire would let one frame
   // allocate the daemon to death before any memory budget is polled.
   if (req->threads > opts_.max_job_threads) {
     return refuse(ErrorCode::kBadConfig,

@@ -71,7 +71,7 @@ struct ServerOptions {
   VertexId max_vertices = 1u << 27;
   EdgeIndex max_edges = 1ull << 32;
   /// Per-job `threads` ceiling (kBadConfig beyond it): the lane count
-  /// sizes per-lane working arrays in the parallel backends, so a
+  /// sizes per-lane working arrays in the parallel sparsifier, so a
   /// client must not pick it freely. 0 (one lane per pool worker) is
   /// always admitted.
   std::uint64_t max_job_threads = 256;

@@ -43,7 +43,8 @@ VertexId delta_from_formula(VertexId beta, double eps, double scale) {
   MS_CHECK(beta >= 1);
   const double value = scale * (static_cast<double>(beta) / eps) *
                        std::log(24.0 / eps);
-  return static_cast<VertexId>(std::max(1.0, std::ceil(value)));
+  return std::clamp(saturating_cast<VertexId>(std::ceil(value)), VertexId{1},
+                    SparsifierParams::kMaxDelta);
 }
 
 // Marks Δ edges per vertex for the contiguous range [begin, end) using the

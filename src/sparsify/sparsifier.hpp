@@ -30,14 +30,22 @@ struct SparsifierParams {
   /// Edges marked per vertex.
   VertexId delta = 0;
 
-  /// The paper's Theorem 2.1 constants: Δ = ceil(20·(β/ε)·ln(24/ε)).
-  /// This is the value for which the (1+ε) proof goes through.
+  /// The largest Δ either formula returns (a tiny ε lands here): 2Δ
+  /// still fits the VertexId test `deg <= 2 * delta` and exceeds every
+  /// degree, so G_Δ = G, which is what the formula asks for.
+  static constexpr VertexId kMaxDelta =
+      std::numeric_limits<VertexId>::max() / 2;
+
+  /// The paper's Theorem 2.1 constants: Δ = ceil(20·(β/ε)·ln(24/ε)),
+  /// clamped to [1, kMaxDelta]. This is the value for which the (1+ε)
+  /// proof goes through.
   static SparsifierParams theoretical(VertexId beta, double eps);
 
-  /// A practically tuned Δ = ceil(scale·(β/ε)·ln(24/ε)). The proof's
-  /// constant 20 is loose; experiments (bench_sparsifier_quality) show the
-  /// (1+ε) guarantee is already met empirically at scale ~ 1–2, which is
-  /// what a deployment would use. Defaults to scale = 2.
+  /// A practically tuned Δ = ceil(scale·(β/ε)·ln(24/ε)), clamped to
+  /// [1, kMaxDelta]. The proof's constant 20 is loose; experiments
+  /// (bench_sparsifier_quality) show the (1+ε) guarantee is already met
+  /// empirically at scale ~ 1–2, which is what a deployment would use.
+  /// Defaults to scale = 2.
   static SparsifierParams practical(VertexId beta, double eps,
                                     double scale = 2.0);
 };

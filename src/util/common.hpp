@@ -22,6 +22,19 @@ using EdgeIndex = std::uint64_t;
 /// Sentinel meaning "no vertex" (e.g. unmatched mate).
 inline constexpr VertexId kNoVertex = std::numeric_limits<VertexId>::max();
 
+/// Converts `x` to the integer type T, clamped to T's range; NaN maps to
+/// T's minimum. A plain static_cast of an out-of-range double is
+/// undefined behaviour, and formulas in ε (1/ε, a deadline in ns) reach
+/// such values from legal inputs.
+template <typename T>
+constexpr T saturating_cast(double x) {
+  constexpr T lo = std::numeric_limits<T>::min();
+  constexpr T hi = std::numeric_limits<T>::max();
+  if (!(x > static_cast<double>(lo))) return lo;
+  if (x >= static_cast<double>(hi)) return hi;
+  return static_cast<T>(x);
+}
+
 namespace detail {
 [[noreturn]] inline void check_failed(const char* file, int line,
                                       const char* expr, const char* msg) {

@@ -24,6 +24,12 @@ TEST(PathCap, FormulaMatchesTheory) {
   EXPECT_EQ(path_cap_for_eps(0.1), 19u);
 }
 
+TEST(PathCap, SaturatesSoTheDoubledCapFits) {
+  // approx_mcm searches to 2 * cap in VertexId arithmetic.
+  EXPECT_EQ(path_cap_for_eps(1e-300), kNoVertex / 2);
+  EXPECT_EQ(path_cap_for_eps(1e-12), kNoVertex / 2);
+}
+
 TEST(ApproxMcm, ValidOnRandomGraphs) {
   Rng rng(1);
   for (int trial = 0; trial < 20; ++trial) {

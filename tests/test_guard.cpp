@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "util/thread_pool.hpp"
@@ -73,6 +74,21 @@ TEST(GuardCore, DeadlineTripsAtPollSite) {
     EXPECT_EQ(e.reason(), guard::StopReason::kDeadline);
     EXPECT_NE(std::string(e.what()).find("test.deadline.site"),
               std::string::npos);
+  }
+}
+
+TEST(GuardCore, DeadlinePastTheClockNeverTrips) {
+  // ms * 1e6 overflows the ns clock: no deadline, not an instant trip.
+  for (const double ms : {1e300, std::numeric_limits<double>::infinity()}) {
+    guard::RunGuard::Limits limits;
+    limits.deadline_ms = ms;
+    limits.soft_deadline_ms = ms;
+    guard::RunGuard g(limits);
+    const guard::ScopedGuard installed(g);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_FALSE(guard::poll()) << ms;
+    EXPECT_FALSE(g.soft_expired()) << ms;
+    EXPECT_EQ(g.stop_reason(), guard::StopReason::kNone) << ms;
   }
 }
 

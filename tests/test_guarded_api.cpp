@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 
 #include "core/api.hpp"
 #include "gen/generators.hpp"
@@ -63,6 +64,20 @@ TEST(GuardedApi, ArmedUntrippedGuardMatchesDormantOutput) {
   ASSERT_EQ(guarded.status, RunStatus::kOk);
   EXPECT_EQ(guarded.stop_reason, guard::StopReason::kNone);
   expect_same_matching(plain.matching, guarded.result.matching);
+}
+
+TEST(GuardedApi, DeadlinePastTheClockIsNoDeadline) {
+  const Graph g = unit_disk_instance(400, 3);
+  const ApproxMatchingConfig cfg = small_cfg();
+  const ApproxMatchingResult plain = approx_maximum_matching(g, cfg);
+  for (const double ms : {1e300, std::numeric_limits<double>::infinity()}) {
+    RunLimits limits;
+    limits.deadline_ms = ms;
+    const RunOutcome out = approx_maximum_matching_guarded(g, cfg, limits);
+    ASSERT_EQ(out.status, RunStatus::kOk) << ms << ": " << out.detail;
+    EXPECT_EQ(out.stop_reason, guard::StopReason::kNone);
+    expect_same_matching(plain.matching, out.result.matching);
+  }
 }
 
 TEST(GuardedApi, OutcomeReportsLemma22Floor) {

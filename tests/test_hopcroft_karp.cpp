@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "gen/generators.hpp"
@@ -168,6 +169,10 @@ TEST(HkPhases, ForEps) {
   EXPECT_EQ(hk_phases_for_eps(0.5), 2);
   EXPECT_EQ(hk_phases_for_eps(0.1), 10);
   EXPECT_EQ(hk_phases_for_eps(0.34), 3);
+}
+
+TEST(HkPhases, SaturatesForTinyEps) {
+  EXPECT_EQ(hk_phases_for_eps(1e-300), std::numeric_limits<int>::max());
 }
 
 TEST(HopcroftKarp, EmptyGraph) {

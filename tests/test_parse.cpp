@@ -1,12 +1,16 @@
 // Strict numeric parsing (util/parse.hpp). The negative cases pin the
 // exact laxities the old stoull/stod-based CLI parsers accepted: leading
 // whitespace, a leading '+', locale-dependent decimal separators, and
-// partially-consumed input.
+// partially-consumed input. Also the saturating double -> integer
+// conversion of util/common.hpp.
 #include "util/parse.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+
+#include "util/common.hpp"
 
 namespace matchsparse {
 namespace {
@@ -70,6 +74,16 @@ TEST(ParseBytes, RejectsMalformedCounts) {
   EXPECT_FALSE(parse_bytes("1t").has_value());
   // 2^34 GiB overflows uint64 after the shift.
   EXPECT_FALSE(parse_bytes("17179869184g").has_value());
+}
+
+TEST(SaturatingCast, ClampsOutOfRangeAndNan) {
+  EXPECT_EQ(saturating_cast<std::uint32_t>(41.9), 41u);
+  EXPECT_EQ(saturating_cast<std::uint32_t>(1e300), UINT32_MAX);
+  EXPECT_EQ(saturating_cast<std::uint32_t>(-5.0), 0u);
+  EXPECT_EQ(saturating_cast<std::uint64_t>(HUGE_VAL), UINT64_MAX);
+  EXPECT_EQ(saturating_cast<std::uint64_t>(std::nan("")), 0u);
+  EXPECT_EQ(saturating_cast<int>(-HUGE_VAL), INT32_MIN);
+  EXPECT_EQ(saturating_cast<int>(-7.5), -7);
 }
 
 }  // namespace

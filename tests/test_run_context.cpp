@@ -23,11 +23,6 @@
 namespace matchsparse {
 namespace {
 
-Graph unit_disk_instance(VertexId n, std::uint64_t seed) {
-  Rng rng(seed);
-  return gen::unit_disk(n, gen::unit_disk_radius_for_degree(n, 8.0), rng);
-}
-
 void expect_same_matching(const Matching& a, const Matching& b) {
   ASSERT_EQ(a.num_vertices(), b.num_vertices());
   for (VertexId v = 0; v < a.num_vertices(); ++v) {

@@ -495,6 +495,13 @@ TEST_F(ServeEndToEnd, UnknownGraphAndBadConfigRefused) {
   bad.degrade = 3;
   EXPECT_FALSE(c.match(bad).has_value());
   EXPECT_EQ(c.last_error().code, ErrorCode::kBadConfig);
+  // matcher = 1 names a removed backend: it still decodes, but the
+  // daemon refuses it.
+  bad = job_of("g");
+  bad.matcher = 1;
+  EXPECT_FALSE(c.match(bad).has_value());
+  EXPECT_EQ(c.last_error().code, ErrorCode::kBadConfig);
+  EXPECT_EQ(c.last_error().message, "frontier backend removed");
   bad = job_of("g");
   bad.matcher = 2;
   EXPECT_FALSE(c.match(bad).has_value());
@@ -507,6 +514,26 @@ TEST_F(ServeEndToEnd, UnknownGraphAndBadConfigRefused) {
   EXPECT_EQ(c.last_error().code, ErrorCode::kBadConfig);
 
   // The connection survived every refusal.
+  EXPECT_TRUE(c.stats().has_value());
+  EXPECT_FALSE(c.transport_failed());
+}
+
+TEST_F(ServeEndToEnd, TinyEpsMatchesOnTheGraphAndDaemonSurvives) {
+  // β = 1, ε = 1e-300 is a legal job whose Δ formula overflows every
+  // integer type; Δ saturates above every degree, so G_Δ = K_40.
+  const Graph g = gen::complete_graph(40);
+  Client c = client();
+  ASSERT_TRUE(c.load(load_of("k40", g)).has_value());
+  JobRequest job = job_of("k40");
+  job.beta = 1;
+  job.eps = 1e-300;
+  const auto rep = c.match(job);
+  ASSERT_TRUE(rep.has_value()) << c.last_error().message;
+  EXPECT_EQ(status_of(*rep), RunStatus::kOk);
+  EXPECT_EQ(rep->delta, SparsifierParams::kMaxDelta);
+  EXPECT_EQ(rep->sparsifier_edges, g.num_edges());
+  expect_valid_matching(g, rep->matched);
+  EXPECT_EQ(rep->matched.size(), 20u);
   EXPECT_TRUE(c.stats().has_value());
   EXPECT_FALSE(c.transport_failed());
 }

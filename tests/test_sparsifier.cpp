@@ -27,6 +27,20 @@ TEST(SparsifierParams, PracticalScalesLinearly) {
               2.0 * static_cast<double>(p1.delta), 1.0);
 }
 
+TEST(SparsifierParams, DeltaSaturatesAndIsNeverZero) {
+  // Formulas past the VertexId range clamp at kMaxDelta, whose 2Δ still
+  // fits a VertexId and exceeds every degree (G_Δ = G).
+  constexpr VertexId kMax = SparsifierParams::kMaxDelta;
+  EXPECT_EQ(SparsifierParams::practical(1, 1e-300).delta, kMax);
+  EXPECT_EQ(SparsifierParams::practical(5, 1e-9).delta, kMax);  // ~2.4e11
+  EXPECT_EQ(SparsifierParams::theoretical(1, 1e-300).delta, kMax);
+  EXPECT_EQ(SparsifierParams::practical(kNoVertex, 0.5).delta, kMax);
+  // A vanishing or non-positive scale still marks one edge per vertex.
+  EXPECT_EQ(SparsifierParams::practical(1, 0.9, 1e-12).delta, 1u);
+  EXPECT_EQ(SparsifierParams::practical(1, 0.5, 0.0).delta, 1u);
+  EXPECT_EQ(SparsifierParams::practical(1, 0.5, -3.0).delta, 1u);
+}
+
 TEST(SparsifierParams, RejectsBadEps) {
   EXPECT_DEATH(SparsifierParams::theoretical(2, 0.0), "eps");
   EXPECT_DEATH(SparsifierParams::theoretical(2, 1.5), "eps");

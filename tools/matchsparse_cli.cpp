@@ -85,10 +85,6 @@ struct GuardFlags {
 };
 GuardFlags g_guard;
 
-/// Filled by the --matcher= global flag; applied to every command that
-/// builds an ApproxMatchingConfig.
-MatcherBackend g_matcher = MatcherBackend::kSerial;
-
 /// Filled by the --repeat=/--jobs= flags (concurrency self-test; match
 /// only).
 struct SelfTestFlags {
@@ -117,7 +113,6 @@ int usage() {
                "flags: --trace=<chrome.json> --metrics=<manifest.json>\n"
                "       --deadline-ms=<ms> --mem-budget=<bytes[k|m|g]> "
                "--degrade=off|eps|maximal\n"
-               "       --matcher=serial|frontier\n"
                "       --repeat=<N> --jobs=<K>   (match: concurrent "
                "self-test, see DESIGN.md \xC2\xA7" "14)\n"
                "families: line unitdisk cliqueunion unitint cliquepath "
@@ -354,11 +349,9 @@ int cmd_match(int argc, char** argv) {
   cfg.eps = parse_double(argv[4], "eps");
   if (argc == 6) cfg.seed = parse_u64(argv[5], "seed");
   check_config(cfg.beta, cfg.eps);
-  cfg.matcher = g_matcher;
   g_obs.manifest.seed = cfg.seed;
   g_obs.manifest.config =
-      "beta=" + std::to_string(cfg.beta) + " eps=" + std::to_string(cfg.eps) +
-      (cfg.matcher == MatcherBackend::kFrontier ? " matcher=frontier" : "");
+      "beta=" + std::to_string(cfg.beta) + " eps=" + std::to_string(cfg.eps);
   if (g_selftest.requested()) return run_selftest_match(g, cfg);
   if (g_guard.any) return run_guarded_match(g, cfg);
   const auto result = approx_maximum_matching(g, cfg);
@@ -435,7 +428,6 @@ int cmd_pipeline(int argc, char** argv) {
   check_config(cfg.beta, cfg.eps);
   cfg.threads = 0;  // fused parallel sparsifier on the default pool
   cfg.bipartite_fast_path = false;  // always exercise the general matcher
-  cfg.matcher = g_matcher;
   g_obs.manifest.seed = cfg.seed;
   g_obs.manifest.threads = default_pool().size();
   g_obs.manifest.config = "beta=" + std::to_string(cfg.beta) +
@@ -519,16 +511,6 @@ std::vector<char*> parse_obs_flags(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
       g_selftest.jobs = parse_u64(argv[i] + 7, "--jobs");
       if (g_selftest.jobs == 0) throw UsageError("--jobs must be >= 1");
-    } else if (std::strncmp(argv[i], "--matcher=", 10) == 0) {
-      const std::string backend = argv[i] + 10;
-      if (backend == "serial") {
-        g_matcher = MatcherBackend::kSerial;
-      } else if (backend == "frontier") {
-        g_matcher = MatcherBackend::kFrontier;
-      } else {
-        throw UsageError("--matcher must be serial or frontier, got \"" +
-                         backend + "\"");
-      }
     } else {
       rest.push_back(argv[i]);
     }
