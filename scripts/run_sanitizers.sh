@@ -14,7 +14,10 @@
 # included. A UBSan report aborts the suite (-fno-sanitize-recover), so
 # it fails the lane. The thread lane additionally replays the guarded
 # isolation matchcheck properties through the fuzzer. The address lane
-# additionally runs the serial bounded-augmentation matcher suites.
+# additionally runs the serial bounded-augmentation matcher suites and the
+# serial CSR builder (Graph::from_edges, normalize_edge_list, the edge-list
+# loader, the sparse array and the graph contracts), whose sorted-input
+# path reads each adjacency list in place before deciding to sort it.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -54,6 +57,10 @@ SERVE_TELEMETRY_FILTER='*'
 # the dynamic window matcher drive the same solver in budgeted slices.
 MATCHING_FILTER='ApproxMcm*:Resumable*'
 DYNAMIC_FILTER='WindowMatcher*'
+# The serial CSR ingest (address lane only: it is single-threaded), on
+# sorted, reversed, shuffled and duplicated input, and its death tests.
+GRAPH_FILTER='Graph*:NormalizeEdgeList*:InducedSubgraph*:GraphIo*'
+UTIL_SERIAL_FILTER='GraphContracts.*:SparseArray.*'
 
 run_one() {
   san="$1"
@@ -73,9 +80,12 @@ run_one() {
   "$dir/tests/test_serve" --gtest_filter="$SERVE_FILTER"
   "$dir/tests/test_serve_telemetry" --gtest_filter="$SERVE_TELEMETRY_FILTER"
   if [ "$san" = "address" ]; then
-    cmake --build "$dir" --target test_matching test_dynamic -j "$(nproc)"
+    cmake --build "$dir" --target test_matching test_dynamic test_graph \
+      -j "$(nproc)"
     "$dir/tests/test_matching" --gtest_filter="$MATCHING_FILTER"
     "$dir/tests/test_dynamic" --gtest_filter="$DYNAMIC_FILTER"
+    "$dir/tests/test_graph" --gtest_filter="$GRAPH_FILTER"
+    "$dir/tests/test_util" --gtest_filter="$UTIL_SERIAL_FILTER"
   fi
   if [ "$san" = "thread" ]; then
     # Seed-randomized guarded runs under TSan: concurrent_guard_isolation

@@ -46,7 +46,9 @@ inline std::uint64_t edge_key(const Edge& e) {
   return (static_cast<std::uint64_t>(n.u) << 32) | n.v;
 }
 
-/// Sorts, removes self-loops and duplicate edges in place.
+/// Sorts, removes self-loops and duplicate edges in place. Input that is
+/// already canonical (u < v, strictly increasing) costs linear passes
+/// only: the O(m log m) sort and the dedup run only on a list out of order.
 void normalize_edge_list(EdgeList& edges);
 
 }  // namespace matchsparse

@@ -41,6 +41,16 @@ void sort_edges_preemptible(EdgeList& edges) {
   }
 }
 
+/// True when [first, last) is strictly increasing, i.e. sorted with no
+/// duplicates. One read-only pass that stops at the first pair out of
+/// order, so the ingest functions sort only lists that need it.
+template <typename It>
+bool strictly_increasing(It first, It last) {
+  return std::adjacent_find(first, last, [](const auto& a, const auto& b) {
+           return !(a < b);
+         }) == last;
+}
+
 }  // namespace
 
 void normalize_edge_list(EdgeList& edges) {
@@ -51,6 +61,9 @@ void normalize_edge_list(EdgeList& edges) {
                              [](const Edge& e) { return e.u == e.v; }),
               edges.end());
   for (Edge& e : edges) e = e.normalized();
+  // Canonical input (e.g. edge_list() output) is already sorted and
+  // duplicate-free, and a duplicate always breaks strict order.
+  if (strictly_increasing(edges.begin(), edges.end())) return;
   sort_edges_preemptible(edges);
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 }
@@ -95,9 +108,15 @@ Graph Graph::from_edges(VertexId n, const EdgeList& edges) {
     if ((v & 0xFFF) == 0) guard::check("graph.csr.sort");
     auto begin = g.adjacency_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]);
     auto end = g.adjacency_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v + 1]);
-    std::sort(begin, end);
-    MS_CHECK_MSG(std::adjacent_find(begin, end) == end,
-                 "duplicate edge in edge list");
+    // Scattering a canonical sorted list fills every list in order (v
+    // receives each u < v ascending, then each w > v ascending), so only
+    // lists from out-of-order input are sorted; a duplicate always breaks
+    // the order, so it still reaches the check.
+    if (!strictly_increasing(begin, end)) {
+      std::sort(begin, end);
+      MS_CHECK_MSG(std::adjacent_find(begin, end) == end,
+                   "duplicate edge in edge list");
+    }
     const auto deg = static_cast<VertexId>(end - begin);
     g.max_degree_ = std::max(g.max_degree_, deg);
     if (deg > 0) ++g.non_isolated_;

@@ -37,7 +37,10 @@ class Graph {
   /// Builds a graph on `n` vertices from an undirected edge list.
   /// Self-loops and duplicate edges are rejected via MS_CHECK (callers that
   /// may hold messy lists should normalize_edge_list() first). Neighbor
-  /// lists are sorted ascending.
+  /// lists are sorted ascending. O(n + m) when every list arrives strictly
+  /// increasing, as it does from a canonical sorted list such as
+  /// normalize_edge_list() or edge_list() output; each list that arrives
+  /// out of order costs an O(d log d) sort.
   static Graph from_edges(VertexId n, const EdgeList& edges);
 
   /// Parallel drop-in for from_edges(): identical contract and an

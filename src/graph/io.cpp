@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <system_error>
 
 namespace matchsparse {
 
@@ -64,8 +66,13 @@ Graph load_edge_list(const std::string& path) {
   }
   if (n > kNoVertex) throw fail("vertex count exceeds 32-bit id space");
 
+  // The header's count is a claim, not a size: every edge line takes at
+  // least 4 bytes ("u v\n"), so the file bounds the reservation, and a
+  // header that overstates m fails below as a truncated list.
+  std::error_code size_error;
+  const std::uintmax_t bytes = std::filesystem::file_size(path, size_error);
   EdgeList edges;
-  edges.reserve(m);
+  edges.reserve(size_error ? 0 : std::min<std::uint64_t>(m, bytes / 4));
   for (std::uint64_t i = 0; i < m; ++i) {
     if (!next_line()) {
       throw IoError(path, lineno,

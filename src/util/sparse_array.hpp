@@ -3,13 +3,13 @@
 // random adjacency-array positions per vertex *without writing to the
 // read-only adjacency arrays and without paying O(deg) initialisation*.
 //
-// The classic trick: alongside the (uninitialised) value store we keep a
-// stack of the slots written so far and a back-pointer array; slot i is
-// considered initialised iff back_[i] points into the live prefix of the
-// stack and the stack entry points back at i. Construction, reset() and all
-// accesses are O(1); memory is O(capacity) but *untouched* until used, so a
-// capacity-n array costs O(1) time per reset regardless of how few slots a
-// pass touches.
+// The classic trick: alongside the value store we keep a stack of the
+// slots written so far and a back-pointer array; slot i is considered
+// initialised iff back_[i] points into the live prefix of the stack and the
+// stack entry points back at i, so no slot's stored value is ever trusted
+// before it is written. Construction zeroes the three O(capacity) arrays
+// once; after that reset() and every access are O(1), so a capacity-n array
+// costs O(1) time per reset regardless of how few slots a pass touches.
 #pragma once
 
 #include <cstddef>
@@ -25,8 +25,10 @@ class SparseArray {
   SparseArray() = default;
 
   /// Creates an array of `capacity` slots, all logically holding
-  /// `default_value`. O(capacity) allocation but O(1) initialisation work
-  /// per reset; the backing memory is deliberately left uninitialised.
+  /// `default_value`. O(capacity): make_unique value-initialises (zeroes)
+  /// all three arrays. The zeroing is kept on purpose, because contains()
+  /// reads back_[i] of never-written slots, and reading an indeterminate
+  /// value there would be undefined behaviour.
   explicit SparseArray(std::size_t capacity, T default_value = T{})
       : capacity_(capacity),
         default_(default_value),

@@ -18,6 +18,10 @@ TEST(GraphContracts, RejectsSelfLoop) {
 
 TEST(GraphContracts, RejectsDuplicateEdge) {
   EXPECT_DEATH(Graph::from_edges(3, {{0, 1}, {1, 0}}), "duplicate");
+  // In-order duplicates take the strictly-increasing test, which a
+  // duplicate always fails, so they still reach the check.
+  EXPECT_DEATH(Graph::from_edges(3, {{0, 1}, {0, 1}}), "duplicate");
+  EXPECT_DEATH(Graph::from_edges(3, {{0, 1}, {0, 2}, {0, 2}}), "duplicate");
 }
 
 TEST(GraphContracts, InducedSubgraphRejectsDuplicates) {

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <span>
+#include <utility>
+
+#include "gen/generators.hpp"
 
 namespace matchsparse {
 namespace {
@@ -62,6 +67,25 @@ TEST(NormalizeEdgeList, PinnedSemantics) {
   EdgeList again = mixed;
   normalize_edge_list(again);
   EXPECT_EQ(again, mixed);
+
+  // A canonical list takes the no-sort path and comes back unchanged, bit
+  // for bit (operator== would also accept swapped endpoints).
+  const EdgeList canonical{{0, 2}, {1, 2}, {3, 4}};
+  EdgeList same = canonical;
+  normalize_edge_list(same);
+  ASSERT_EQ(same.size(), canonical.size());
+  for (std::size_t i = 0; i < same.size(); ++i) {
+    EXPECT_EQ(same[i].u, canonical[i].u);
+    EXPECT_EQ(same[i].v, canonical[i].v);
+  }
+  // A sorted list with one adjacent duplicate still collapses it, and a
+  // sorted list with one self-loop still drops it.
+  EdgeList sorted_dup{{0, 2}, {1, 2}, {1, 2}, {3, 4}};
+  normalize_edge_list(sorted_dup);
+  EXPECT_EQ(sorted_dup, canonical);
+  EdgeList sorted_loop{{0, 2}, {1, 1}, {1, 2}, {3, 4}};
+  normalize_edge_list(sorted_loop);
+  EXPECT_EQ(sorted_loop, canonical);
 }
 
 TEST(Graph, EmptyGraph) {
@@ -104,6 +128,46 @@ TEST(Graph, EdgeListRoundTrip) {
   normalize_edge_list(edges);
   const Graph g = Graph::from_edges(4, edges);
   EXPECT_EQ(g.edge_list(), edges);
+}
+
+// from_edges sorts only the adjacency lists that arrive out of order, so
+// the same edge set must give the same CSR whichever path each list
+// takes: the canonical sorted list (no list sorted), the list reversed and
+// the list shuffled (lists sorted), and every endpoint pair swapped.
+void expect_same_graph_from_every_order(const Graph& g, std::uint64_t seed) {
+  const EdgeList sorted = g.edge_list();
+  const EdgeList reversed(sorted.rbegin(), sorted.rend());
+  EdgeList shuffled = sorted;
+  Rng rng(seed);
+  rng.shuffle(std::span<Edge>(shuffled));
+  EdgeList swapped = sorted;
+  for (Edge& e : swapped) std::swap(e.u, e.v);
+
+  const VertexId n = g.num_vertices();
+  const EdgeList* const forms[] = {&sorted, &reversed, &shuffled, &swapped};
+  for (std::size_t f = 0; f < std::size(forms); ++f) {
+    const Graph h = Graph::from_edges(n, *forms[f]);
+    ASSERT_EQ(h.num_vertices(), n);
+    EXPECT_EQ(h.num_edges(), g.num_edges());
+    EXPECT_EQ(h.max_degree(), g.max_degree());
+    EXPECT_EQ(h.num_non_isolated(), g.num_non_isolated());
+    for (VertexId v = 0; v < n; ++v) {
+      const auto want = g.neighbors(v);
+      const auto got = h.neighbors(v);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "vertex " << v << " of form " << f;
+      EXPECT_TRUE(std::adjacent_find(got.begin(), got.end(),
+                                     [](VertexId a, VertexId b) {
+                                       return a >= b;
+                                     }) == got.end());
+    }
+  }
+}
+
+TEST(Graph, FromEdgesIsInvariantToInputOrder) {
+  expect_same_graph_from_every_order(gen::complete_graph(60), 1);
+  Rng rng(7);
+  expect_same_graph_from_every_order(gen::erdos_renyi(500, 8.0, rng), 2);
 }
 
 TEST(Graph, MaxAndAverageDegree) {

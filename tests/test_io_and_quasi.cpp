@@ -90,6 +90,17 @@ TEST(GraphIo, TruncatedEdgeListThrows) {
   EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
 }
 
+TEST(GraphIo, OverstatedEdgeCountIsATruncatedList) {
+  // The header's count must not size an allocation up front: 3e18 edges
+  // would not fit in memory (or a vector), and the file holds one.
+  const IoError e =
+      load_error("overstated.edges", "3 3000000000000000000\n0 1\n");
+  EXPECT_NE(std::string(e.what()).find("overstated.edges"), std::string::npos);
+  EXPECT_NE(std::string(e.what()).find(
+                "truncated edge list (1 of 3000000000000000000 edges)"),
+            std::string::npos);
+}
+
 TEST(GraphIo, BadEdgeLineThrows) {
   const IoError e = load_error("badedge.edges", "3 2\n0 1\nx y\n");
   EXPECT_EQ(e.line(), 3u);
