@@ -74,7 +74,7 @@ void table_marking_rules() {
   const std::vector<Rule> rules = {
       {"union of marks + tweak (paper)",
        [](const Graph& gg, VertexId d, Rng& r) {
-         return sparsify_edges(gg, d, r);
+         return sparsify_edges(gg, d, r());
        }},
       {"union of marks, no tweak", sparsify_no_tweak},
       {"both endpoints must mark", sparsify_both_endpoints},
@@ -159,7 +159,7 @@ void table_delta_scale() {
     double frac = 0;
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       Rng rng(seed);
-      const Graph gd = sparsify(g, delta, rng);
+      const Graph gd = sparsify(g, delta, rng());
       frac = static_cast<double>(gd.num_edges()) /
              static_cast<double>(g.num_edges());
       ratio.add(full / std::max(1.0, static_cast<double>(

@@ -63,8 +63,7 @@ void table_family_eps() {
       const StreamingStats ratio =
           parallel_trials(kTrials, [&](std::uint64_t seed) {
             const Graph g = family.make(seed);
-            Rng rng(mix64(seed, 17));
-            const Graph gd = sparsify(g, delta, rng);
+            const Graph gd = sparsify(g, delta, mix64(seed, 17));
             const double full = approx_mcm(g, 0.05).size();
             const double kept =
                 std::max<VertexId>(1, approx_mcm(gd, 0.05).size());
@@ -116,7 +115,7 @@ void table_ratio_vs_delta() {
       double frac = 0;
       for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         Rng rng(seed);
-        const Graph gd = sparsify(inst.g, delta, rng);
+        const Graph gd = sparsify(inst.g, delta, rng());
         ratio.add(full /
                   std::max(1.0, static_cast<double>(
                                     approx_mcm(gd, 0.05).size())));
@@ -143,8 +142,7 @@ void table_delta_star_vs_beta() {
     for (VertexId delta = 1; delta <= 256; delta *= 2) {
       double worst = 1.0;
       for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        Rng rng(mix64(beta, seed));
-        const Graph gd = sparsify(g, delta, rng);
+        const Graph gd = sparsify(g, delta, mix64(beta, seed));
         worst = std::max(
             worst, full / std::max(1.0, static_cast<double>(
                                             approx_mcm(gd, 0.05).size())));

@@ -49,8 +49,7 @@ int main() {
 
   for (const auto& c : cases) {
     const VertexId delta = 8;
-    Rng rng(7);
-    const Graph gd = sparsify(c.g, delta, rng);
+    const Graph gd = sparsify(c.g, delta, 7);
     const auto mcm = static_cast<std::uint64_t>(reference_mcm_size(c.g));
     const std::uint64_t refined = 2 * mcm * (2 * delta + c.beta);
     const std::uint64_t naive =
@@ -76,8 +75,7 @@ int main() {
     const VertexId n = family.name == "complete" ? 800 : 3000;
     const Graph g = family.make(n, 3);
     for (VertexId delta : {4u, 16u}) {
-      Rng rng(11);
-      const Graph gd = sparsify(g, delta, rng);
+      const Graph gd = sparsify(g, delta, 11);
       const auto est = estimate_arboricity(gd);
       char bracket[64];
       std::snprintf(bracket, sizeof(bracket), "[%.0f, %.0f]", est.lower,

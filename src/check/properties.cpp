@@ -39,7 +39,6 @@
 #include "stream/mpc.hpp"
 #include "stream/stream_sparsifier.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace matchsparse::check {
 
@@ -265,11 +264,9 @@ Result prop_certified_factor_vs_blossom(const Graph& g,
 
 Result prop_serial_sparsifier(const Graph& g, const PropertyConfig& cfg) {
   const VertexId delta = std::max<VertexId>(1, cfg.delta);
-  Rng rng_a(cfg.seed);
-  const EdgeList a = sparsify_edges(g, delta, rng_a);
-  Rng rng_b(cfg.seed);
-  const EdgeList b = sparsify_edges(g, delta, rng_b);
-  if (a != b) return Result::fail("serial sparsify not replayable from seed");
+  const EdgeList a = sparsify_edges(g, delta, cfg.seed);
+  const EdgeList b = sparsify_edges(g, delta, cfg.seed);
+  if (a != b) return Result::fail("sparsify_edges not replayable from seed");
   if (Result r = check_sparsifier_structure(g, a, delta, /*tweak=*/true,
                                             "sparsify");
       r.failed()) {
@@ -291,36 +288,19 @@ Result prop_serial_sparsifier(const Graph& g, const PropertyConfig& cfg) {
 Result prop_parallel_sparsifier_thread_invariance(const Graph& g,
                                                   const PropertyConfig& cfg) {
   const VertexId delta = std::max<VertexId>(1, cfg.delta);
-  const EdgeList base = sparsify_edges_parallel(g, delta, cfg.seed, 1);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4},
-                                    std::size_t{8}, cfg.threads}) {
-    if (threads == 0) continue;
-    const EdgeList other = sparsify_edges_parallel(g, delta, cfg.seed,
-                                                   threads);
-    if (other != base) {
-      return Result::fail("sparsify_edges_parallel differs at threads=" +
-                          sz(threads));
+  // sparsify must build the graph of sparsify_edges' list at every lane
+  // count (0 = the pool's size).
+  const EdgeList base = sparsify_edges(g, delta, cfg.seed);
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{4}, std::size_t{8},
+                                  std::size_t{0}, cfg.threads}) {
+    if (sparsify(g, delta, cfg.seed, lanes).edge_list() != base) {
+      return Result::fail("sparsify differs from sparsify_edges at lanes=" +
+                          sz(lanes));
     }
   }
-  if (Result r = check_sparsifier_structure(g, base, delta, /*tweak=*/true,
-                                            "sparsify_parallel");
-      r.failed()) {
-    return r;
-  }
-  // The fused pipeline must produce the identical CSR graph, for any
-  // shard count.
-  const Graph via_list = Graph::from_edges(g.num_vertices(), base);
-  for (const std::size_t shards : {std::size_t{0}, cfg.threads}) {
-    const Graph fused =
-        sparsify_parallel(g, delta, cfg.seed, default_pool(), nullptr,
-                          shards);
-    if (fused.edge_list() != via_list.edge_list()) {
-      return Result::fail("fused sparsify_parallel differs from "
-                          "from_edges(sparsify_edges_parallel) at shards=" +
-                          sz(shards));
-    }
-  }
-  return Result::pass();
+  return check_sparsifier_structure(g, base, delta, /*tweak=*/true,
+                                    "sparsify");
 }
 
 // ---------------------------------------------------------------------------
@@ -588,7 +568,7 @@ Result prop_guard_cancel_rerun(const Graph& g, const PropertyConfig& cfg) {
   acfg.beta = std::max<VertexId>(1, cfg.beta);
   acfg.eps = (cfg.eps > 0.0 && cfg.eps < 1.0) ? cfg.eps : 0.25;
   acfg.seed = cfg.seed;
-  acfg.threads = 1;  // serial path: poll count is a function of (g, cfg)
+  acfg.threads = 1;  // one lane: poll count is a function of (g, cfg)
 
   const RunOutcome base = approx_maximum_matching_guarded(g, acfg);
   if (base.status != RunStatus::kOk) {
@@ -872,7 +852,7 @@ Result prop_serve_request_isolation(const Graph& g,
   // request context, never a concurrent victim's.
   survivor.threads = 2;
   serve::JobRequest victim = survivor;
-  victim.threads = 1;  // serial scheme: deterministic poll placement
+  victim.threads = 1;  // one lane: deterministic poll placement
   victim.seed = mix64(cfg.seed, 0xc0117e87);
 
   // Warm both cache lanes, then take the solo baselines off the hits
@@ -1044,8 +1024,8 @@ std::vector<Property> build_properties() {
        "sparsify_edges replay + structure vs subgraph monotonicity of MCM",
        prop_serial_sparsifier},
       {"parallel_sparsifier_thread_invariance",
-       "sparsify_edges_parallel / fused sparsify_parallel identical at "
-       "1/2/4/8 threads and any shard count",
+       "sparsify identical to from_edges(sparsify_edges) at 1/2/4/8 lanes "
+       "and the pool's size",
        prop_parallel_sparsifier_thread_invariance},
       {"dist_sparsifier_fault_independence",
        "dist sparsifier protocols lossless vs lossy: identical edges under "

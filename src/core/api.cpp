@@ -6,7 +6,6 @@
 #include "matching/hopcroft_karp.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace matchsparse {
@@ -70,14 +69,7 @@ Graph build_matching_sparsifier(const Graph& g,
     identity_step(g, stats, &copy);
     return copy;
   }
-  const VertexId delta = delta_for(cfg);
-  if (cfg.threads == 1) {
-    Rng rng(cfg.seed);
-    return sparsify(g, delta, rng, stats);
-  }
-  ThreadPool& pool = default_pool();
-  const std::size_t shards = cfg.threads == 0 ? pool.size() : cfg.threads;
-  return sparsify_parallel(g, delta, cfg.seed, pool, stats, shards);
+  return sparsify(g, delta_for(cfg), cfg.seed, cfg.threads, stats);
 }
 
 ApproxMatchingResult approx_maximum_matching(

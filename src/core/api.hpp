@@ -48,17 +48,13 @@ struct ApproxMatchingConfig {
   /// Hopcroft–Karp (the exact black box the paper cites, with a firm
   /// O(m'/ε) bound) instead of the general bounded-length matcher.
   bool bipartite_fast_path = true;
-  /// Worker lanes for building G_Δ. 1 (default) keeps the legacy serial
-  /// path: one RNG stream drawn vertex-by-vertex. Any other value routes
-  /// through the fused parallel sparsify→CSR pipeline (sparsify_parallel)
-  /// on the shared default_pool(): 0 = one lane per hardware thread,
-  /// k > 1 = exactly k lanes. The parallel path samples per-vertex
-  /// substreams mix64(seed, v), so its output is one deterministic
-  /// function of (g, Δ, seed) for *every* threads value ≥ 2 (and 0) —
-  /// but, being a different (equally distributed) drawing scheme, it is
-  /// not edge-identical to the threads == 1 legacy stream. Neither path
-  /// runs when max degree <= 2Δ (sparsifier_is_graph): G_Δ is then G at
-  /// every threads value. The matcher on G_Δ is serial at every value.
+  /// Lanes that build G_Δ (sparsify): 1 (default) runs on the calling
+  /// thread, k > 1 runs k lanes on the shared default_pool(), 0 one lane
+  /// per pool worker. Every vertex draws from its own substream
+  /// mix64(seed, v), so `threads` sets how many lanes build G_Δ and never
+  /// which edges it holds. No build runs when max degree <= 2Δ
+  /// (sparsifier_is_graph): G_Δ is then G. The matcher on G_Δ is serial
+  /// at every value.
   std::size_t threads = 1;
 };
 
@@ -82,7 +78,7 @@ struct ApproxMatchingResult {
 ///
 /// `prebuilt`, when non-null, must be the graph build_matching_sparsifier
 /// (g, cfg) would return — the caller vouches for the identity (the serve
-/// daemon's sparsifier cache keys on exactly (source, Δ, seed, scheme)).
+/// daemon's sparsifier cache keys on exactly (source, Δ, seed)).
 /// The sparsify stage is then skipped and the matching stage runs on
 /// *prebuilt, producing the same matching as the cold call; probes and
 /// sparsify_seconds report 0 for the skipped stage.
@@ -105,8 +101,8 @@ bool sparsifier_is_graph(const Graph& g, const ApproxMatchingConfig& cfg);
 /// object; `stats` reports identity = true with probes 0, marked 2m and
 /// edges m. The copy is a cancellation point ("sparsify.identity") and
 /// charges its CSR bytes to the active guard, like the build it
-/// replaces. Otherwise `cfg.threads` picks the legacy serial builder (1)
-/// or sparsify_parallel (0, k >= 2).
+/// replaces. Otherwise it is sparsify(g, Δ, cfg.seed, cfg.threads), the
+/// same graph at every lane count.
 Graph build_matching_sparsifier(const Graph& g,
                                 const ApproxMatchingConfig& cfg,
                                 SparsifierStats* stats = nullptr);

@@ -141,10 +141,12 @@ Graph Graph::build_parallel(VertexId n,
                             std::span<const std::span<const Edge>> parts,
                             ThreadPool& pool, DuplicatePolicy policy) {
   const std::size_t num_parts = std::max<std::size_t>(1, parts.size());
-  // Vertex-indexed passes run over more blocks than lanes so the atomic
-  // work index smooths out degree skew between ranges.
+  // Vertex-indexed passes run over four blocks per part so the atomic
+  // work index smooths out degree skew between ranges. One part is one
+  // block, so a one-part build runs every pass on the calling thread.
   const std::size_t blocks =
-      n == 0 ? 0 : std::min<std::size_t>(n, 4 * pool.size());
+      n == 0 ? 0
+             : std::min<std::size_t>(n, num_parts == 1 ? 1 : 4 * num_parts);
 
   Graph g;
   g.offsets_.assign(static_cast<std::size_t>(n) + 1, 0);

@@ -58,7 +58,8 @@ class Graph {
   /// transpose that sorts the lists writes each neighbour once, so no
   /// global normalization pass is needed. Self-loops are rejected. The
   /// result is identical to from_edges() on the concatenated+normalized
-  /// input, for any shard partition.
+  /// input, for any shard partition. One shard builds on the calling
+  /// thread and submits nothing to `pool`.
   static Graph from_edge_shards_parallel(VertexId n,
                                          std::span<const EdgeList> shards,
                                          ThreadPool& pool);

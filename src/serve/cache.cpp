@@ -32,14 +32,10 @@ std::string GraphCache::graph_key(const std::string& source) {
 }
 
 std::string GraphCache::sparsifier_key(const SparsifierKey& key) {
-  // Lane-count normalization: every parallel lane count draws the same
-  // sparsifier, so all of them share the "0" scheme slot. The source is
-  // length-prefixed so a '/'-containing client name can never alias
-  // another source's (Δ, seed, scheme) suffix.
-  const std::uint64_t scheme = key.lanes == 1 ? 1 : 0;
+  // The source is length-prefixed so a '/'-containing client name can
+  // never alias another source's (Δ, seed) suffix.
   return "s:" + std::to_string(key.source.size()) + ":" + key.source + "/" +
-         std::to_string(key.delta) + "/" + std::to_string(key.seed) + "/" +
-         std::to_string(scheme);
+         std::to_string(key.delta) + "/" + std::to_string(key.seed);
 }
 
 std::shared_ptr<const Graph> GraphCache::get_locked(const std::string& key) {

@@ -3,18 +3,16 @@
 // One LRU over two kinds of entries:
 //
 //   graph       key "g:<source>"                    — installed by LOAD
-//   sparsifier  key "s:<len>:<source>/<Δ>/<seed>/<scheme>" — built by
-//               SPARSIFY or a MATCH miss; the source is length-prefixed
-//               so a '/'-containing name cannot alias another source's
+//   sparsifier  key "s:<len>:<source>/<Δ>/<seed>" — built by SPARSIFY
+//               or a MATCH miss; the source is length-prefixed so a
+//               '/'-containing name cannot alias another source's
 //               numeric suffix
 //
 // The sparsifier key is exactly the determinism identity of
 // build_matching_sparsifier: G_Δ is a pure function of (graph, Δ, seed)
-// per drawing scheme, and the scheme splits serial (threads == 1) vs
-// fused-parallel (any other lane count — normalized to 0 in the key,
-// since every parallel lane count draws the same edges). Two requests
-// that agree on (source, β, ε, seed, scheme) therefore share one cached
-// G_Δ and get bit-identical matchings out of it. A source whose max
+// at every lane count. Two requests that agree on (source, β, ε, seed)
+// therefore share one cached G_Δ, whatever lanes each asked for, and get
+// bit-identical matchings out of it. A source whose max
 // degree is at most 2Δ (sparsifier_is_graph) never gets a sparsifier
 // entry: its G_Δ is the graph itself, so the daemon serves MATCH and
 // SPARSIFY from the graph entry and the bytes are cached once.
@@ -44,13 +42,11 @@
 
 namespace matchsparse::serve {
 
-/// Cache identity of one sparsifier (see file comment for the scheme
-/// normalization rule applied to `lanes`).
+/// Cache identity of one sparsifier.
 struct SparsifierKey {
   std::string source;
   VertexId delta = 0;
   std::uint64_t seed = 0;
-  std::uint64_t lanes = 1;  // 1 = serial scheme, 0 = any parallel count
 };
 
 class GraphCache {

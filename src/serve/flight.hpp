@@ -41,8 +41,9 @@ namespace matchsparse::serve {
 
 /// One completed request. For served jobs `status`/`stop_reason` carry
 /// the RunOutcome; for refused requests `error_code` carries the
-/// serve::ErrorCode and status/stop_reason stay 0. `delta`/`seed`/
-/// `lanes` are the sparsifier scheme key of job frames (0 otherwise).
+/// serve::ErrorCode and status/stop_reason stay 0. `delta`/`seed` are
+/// the sparsifier key of job frames and `lanes` the lane count the job
+/// asked for (0 otherwise).
 struct FlightRecord {
   std::uint64_t serial = 0;      // server serial (jobs; 0 otherwise)
   std::uint64_t request_id = 0;  // client-chosen id, echoed in replies

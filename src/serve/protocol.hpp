@@ -120,8 +120,9 @@ struct JobRequest {
   VertexId beta = 2;
   double eps = 0.2;
   std::uint64_t seed = 0;
-  /// Sparsifier lanes: 1 = legacy serial stream, 0 / >=2 = fused
-  /// parallel path (deterministic per (g, Δ, seed) at any lane count).
+  /// Lanes that build G_Δ (ApproxMatchingConfig::threads): 1 runs on the
+  /// session's thread, 0 = the shared pool's size. G_Δ is the same at
+  /// every lane count.
   std::uint64_t threads = 1;
   double deadline_ms = 0.0;
   std::uint64_t mem_budget_bytes = 0;

@@ -50,7 +50,6 @@ SparsifierKey key_of(const JobRequest& req, VertexId delta) {
   key.source = req.source;
   key.delta = delta;
   key.seed = req.seed;
-  key.lanes = req.threads;
   return key;
 }
 
@@ -565,7 +564,7 @@ bool Server::handle_job_impl(Transport& t, const Frame& f, FlightRecord* rec) {
                   "threads above the server cap of " +
                       std::to_string(opts_.max_job_threads));
   }
-  // The Δ formula MS_CHECKs its β/ε domain, so the scheme key is only
+  // The Δ formula MS_CHECKs its β/ε domain, so the sparsifier key is only
   // computable for a validated config; refusals above record Δ = 0.
   rec->delta = delta_for(*req);
   const auto graph = cache_.get_graph(req->source);

@@ -12,7 +12,7 @@ ComposedSparsifier composed_sparsifier(const Graph& g, VertexId beta,
   ComposedSparsifier out;
   out.delta =
       SparsifierParams::practical(beta, stage_eps, delta_scale).delta;
-  out.random_stage = sparsify(g, out.delta, rng);
+  out.random_stage = sparsify(g, out.delta, rng());
   // Observation 2.12: arboricity(G_Δ) <= 2Δ (with the degree-2Δ tweak the
   // constant stays 2: every vertex contributes at most 2Δ marks).
   out.delta_alpha =

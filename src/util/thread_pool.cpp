@@ -12,7 +12,7 @@ namespace {
 
 // Set while a worker thread is executing tasks for its pool; lets
 // parallel_for detect re-entrant calls and degrade to an inline loop
-// instead of deadlocking on wait_idle().
+// instead of deadlocking on its own join.
 thread_local ThreadPool* t_worker_pool = nullptr;
 
 }  // namespace
@@ -97,23 +97,36 @@ ThreadPool& default_pool() {
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  if (t_worker_pool == &pool) {
-    // Nested region on the same pool: run inline on this worker.
+  if (count == 1 || t_worker_pool == &pool) {
+    // One iteration, or a nested region on the same pool: run inline on
+    // the calling thread.
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
+  // The join counts this call's lanes only, so other callers' tasks on
+  // the pool never hold it up. A lane signals under the mutex, so the
+  // wait below cannot return (and free the join) before the lane has
+  // finished with it.
+  struct Join {
+    std::mutex mutex;
+    std::condition_variable done;
+    std::size_t running = 0;
+  } join;
   std::atomic<std::size_t> next{0};
-  const std::size_t lanes = std::min(pool.size(), count);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    pool.submit([&next, count, &fn] {
+  join.running = std::min(pool.size(), count);
+  for (std::size_t lane = join.running; lane > 0; --lane) {
+    pool.submit([&next, &join, count, &fn] {
       for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) return;
+        if (i >= count) break;
         fn(i);
       }
+      const std::lock_guard<std::mutex> lock(join.mutex);
+      if (--join.running == 0) join.done.notify_one();
     });
   }
-  pool.wait_idle();
+  std::unique_lock<std::mutex> lock(join.mutex);
+  join.done.wait(lock, [&join] { return join.running == 0; });
 }
 
 void parallel_for(std::size_t count,

@@ -72,10 +72,12 @@ class ThreadPool {
 ThreadPool& default_pool();
 
 /// Runs fn(i) for i in [0, count) across the pool's threads, blocking until
-/// all iterations complete. Iterations must be independent. Re-entrant:
-/// when called from inside one of `pool`'s own workers the loop runs
-/// inline on the calling thread (submitting and waiting would deadlock a
-/// fully busy pool).
+/// all of this call's iterations complete (tasks other callers submitted
+/// to the pool do not hold it up). Iterations must be independent. A
+/// single iteration runs inline on the calling thread and submits
+/// nothing. Re-entrant: when called from inside one of `pool`'s own
+/// workers the loop runs inline on the calling thread (submitting and
+/// waiting would deadlock a fully busy pool).
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
 

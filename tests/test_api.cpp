@@ -160,11 +160,8 @@ TEST(Api, IdentityRegimeReturnsTheGraph) {
     (void)build_matching_sparsifier(above, cfg, &above_stats);
     EXPECT_FALSE(above_stats.identity) << label;
     EXPECT_GT(above_stats.probes, 0u) << label;
-    const std::size_t lanes =
-        threads == 1 ? 0  // the legacy serial stream keeps no shards
-                     : std::min<std::size_t>(
-                           threads == 0 ? default_pool().size() : threads,
-                           above.num_vertices());
+    const std::size_t lanes = std::min<std::size_t>(
+        threads == 0 ? default_pool().size() : threads, above.num_vertices());
     EXPECT_EQ(above_stats.shard_probes.size(), lanes) << label;
   }
 }
@@ -226,6 +223,39 @@ TEST(Api, ParallelThreadsProduceIdenticalSparsifier) {
   EXPECT_EQ(two.shard_probes.size(), 2u);
   EXPECT_EQ(seven.shard_probes.size(), 7u);
   for (const Edge& e : gd2.edge_list()) EXPECT_TRUE(g.has_edge(e.u, e.v));
+}
+
+TEST(Api, EveryThreadCountBuildsTheSameSparsifier) {
+  // Max degree 499 > 2Δ = 384: G_Δ is sampled, one scheme at every lane
+  // count, so the matching, G_Δ and the probes agree across all of them.
+  const Graph g = gen::complete_graph(500);
+  ApproxMatchingConfig cfg;
+  cfg.beta = 4;
+  cfg.seed = 21;
+  ASSERT_FALSE(sparsifier_is_graph(g, cfg));
+  cfg.threads = 1;
+  const ApproxMatchingResult one = approx_maximum_matching(g, cfg);
+  SparsifierStats one_stats;
+  const EdgeList one_edges = build_matching_sparsifier(g, cfg, &one_stats)
+                                 .edge_list();
+  EXPECT_EQ(one.probes, one_stats.probes);
+  EXPECT_EQ(one.sparsifier_edges, one_edges.size());
+  for (const std::size_t threads : {2u, 7u, 0u}) {
+    cfg.threads = threads;
+    const std::string label = "threads " + std::to_string(threads);
+    const ApproxMatchingResult r = approx_maximum_matching(g, cfg);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(r.matching.mate(v), one.matching.mate(v))
+          << label << ", vertex " << v;
+    }
+    EXPECT_EQ(r.sparsifier_edges, one.sparsifier_edges) << label;
+    EXPECT_EQ(r.probes, one.probes) << label;
+    SparsifierStats stats;
+    EXPECT_EQ(build_matching_sparsifier(g, cfg, &stats).edge_list(),
+              one_edges)
+        << label;
+    EXPECT_EQ(stats.probes, one_stats.probes) << label;
+  }
 }
 
 TEST(Api, ParallelPathMatchesQualityAndReportsProbes) {

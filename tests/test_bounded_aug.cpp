@@ -234,8 +234,7 @@ TEST(ApproxMcm, GoldenMateHashCorpus) {
   const Graph kn = gen::complete_graph(301);
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const Graph g =
-        Graph::from_edges(kn.num_vertices(),
-                          sparsify_edges_parallel(kn, 6, seed, /*threads=*/1));
+        Graph::from_edges(kn.num_vertices(), sparsify_edges(kn, 6, seed));
     for (const double eps : eps_pool) {
       sparsified = mix64(sparsified, mate_hash(g, eps));
     }

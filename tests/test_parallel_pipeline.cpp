@@ -1,7 +1,8 @@
-// The parallel sparsify→CSR pipeline: thread-count determinism of the
+// The parallel sparsify→CSR pipeline: lane-count determinism of the
 // sharded marking (the order-independence claim of the per-vertex
-// mix64(seed, v) substreams), the parallel CSR builders, the fused
-// sparsify_parallel(), and the per-shard probe accounting.
+// mix64(seed, v) substreams), the parallel CSR builders, sparsify()
+// against its edge-list reference sparsify_edges(), and the per-shard
+// probe accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,38 +43,59 @@ void expect_identical(const Graph& a, const Graph& b, const char* label) {
 TEST(ParallelPipeline, MarkedEdgesIdenticalAcrossThreadCounts) {
   Rng grng(17);
   const Graph g = gen::erdos_renyi(500, 30.0, grng);
-  const EdgeList reference = sparsify_edges_parallel(g, 5, 1234, 1);
+  const EdgeList reference = sparsify_edges(g, 5, 1234);
   for (std::size_t threads : regression_thread_counts()) {
-    EXPECT_EQ(sparsify_edges_parallel(g, 5, 1234, threads), reference)
+    EXPECT_EQ(sparsify(g, 5, 1234, threads).edge_list(), reference)
         << threads << " threads";
   }
 }
 
 TEST(ParallelPipeline, FusedGraphIdenticalAcrossThreadCounts) {
+  struct Input {
+    std::string name;
+    Graph g;
+    VertexId delta;
+    std::uint64_t seed;
+    std::vector<std::size_t> lanes;
+  };
+  std::vector<Input> inputs;
   Rng grng(18);
-  const Graph g = gen::clique_union(600, 40, 3, grng);
-  const VertexId delta = 6;
-  const std::uint64_t seed = 99;
-  // The serial reference path: substream marking + global-sort CSR build.
-  const Graph reference =
-      Graph::from_edges(g.num_vertices(),
-                        sparsify_edges_parallel(g, delta, seed, 1));
-  for (std::size_t threads : regression_thread_counts()) {
-    ThreadPool pool(threads);
-    const Graph fused = sparsify_parallel(g, delta, seed, pool);
-    expect_identical(fused, reference,
-                     ("fused pipeline, " + std::to_string(threads) +
-                      " threads")
-                         .c_str());
+  inputs.push_back({"clique_union(600, 40, 3)",
+                    gen::clique_union(600, 40, 3, grng), 6, 99,
+                    regression_thread_counts()});
+  // The three regimes of the marking rule at Δ = 32: K_400 samples at
+  // every vertex, clique_union's degree ~78 > 2Δ samples at scale, and
+  // the unit-disk graph's degree ~35 < 2Δ keeps whole neighbourhoods, so
+  // most edges are marked from both ends.
+  Rng rng(5);
+  const std::vector<std::size_t> lanes = {1, 2, 4, 8};
+  inputs.push_back(
+      {"K_400", gen::complete_graph(400), 32, 0xbadc0ffee, lanes});
+  inputs.push_back({"clique_union(20000, 40, 2)",
+                    gen::clique_union(20000, 40, 2, rng), 32, 0xbadc0ffee,
+                    lanes});
+  inputs.push_back(
+      {"unit_disk(20000, degree 35)",
+       gen::unit_disk(20000, gen::unit_disk_radius_for_degree(20000, 35.0),
+                      rng),
+       32, 0xbadc0ffee, lanes});
+  for (const Input& in : inputs) {
+    // The reference: the same marks as one canonical list, built serially.
+    const Graph reference = Graph::from_edges(
+        in.g.num_vertices(), sparsify_edges(in.g, in.delta, in.seed));
+    for (const std::size_t threads : in.lanes) {
+      expect_identical(sparsify(in.g, in.delta, in.seed, threads), reference,
+                       (in.name + ", " + std::to_string(threads) + " lanes")
+                           .c_str());
+    }
   }
 }
 
 TEST(ParallelPipeline, FusedShardCountDoesNotChangeOutput) {
   const Graph g = gen::complete_graph(300);
-  ThreadPool pool(4);
-  const Graph one = sparsify_parallel(g, 4, 7, pool, nullptr, 1);
+  const Graph one = sparsify(g, 4, 7, 1);
   for (std::size_t shards : {2u, 3u, 5u, 16u}) {
-    const Graph many = sparsify_parallel(g, 4, 7, pool, nullptr, shards);
+    const Graph many = sparsify(g, 4, 7, shards);
     expect_identical(many, one,
                      ("shards=" + std::to_string(shards)).c_str());
   }
@@ -232,26 +254,18 @@ TEST(ParallelPipeline, FromEdgesParallelRejectsDuplicates) {
 TEST(ParallelPipeline, ProbeAccountingSurvivesTheJoin) {
   const Graph g = gen::complete_graph(250);
   const VertexId delta = 5;
-  // The serial builder's probe count is structural (1 degree read per
-  // vertex plus deg or Δ neighbor reads), so both parallel builders must
-  // report exactly the same total for any shard count.
-  Rng rng(1);
-  ProbeMeter serial_meter;
-  (void)sparsify_edges(g, delta, rng, &serial_meter);
+  // The probe count is structural (1 degree read per vertex plus deg or
+  // Δ neighbor reads; every degree of K_250 exceeds 2Δ), so every lane
+  // count must report exactly the same total.
+  const std::uint64_t expected = std::uint64_t{250} * (1 + delta);
   for (std::size_t threads : {1u, 2u, 7u}) {
-    SparsifierStats stats;
-    (void)sparsify_edges_parallel(g, delta, 42, threads, &stats);
-    EXPECT_EQ(stats.probes, serial_meter.probes()) << threads << " threads";
-    EXPECT_EQ(stats.shard_probes.size(), threads);
-    std::uint64_t sum = 0;
-    for (std::uint64_t p : stats.shard_probes) sum += p;
-    EXPECT_EQ(sum, stats.probes);
-
-    ThreadPool pool(threads);
     SparsifierStats fused_stats;
-    const Graph fused =
-        sparsify_parallel(g, delta, 42, pool, &fused_stats, threads);
-    EXPECT_EQ(fused_stats.probes, serial_meter.probes());
+    const Graph fused = sparsify(g, delta, 42, threads, &fused_stats);
+    EXPECT_EQ(fused_stats.probes, expected) << threads << " threads";
+    EXPECT_EQ(fused_stats.shard_probes.size(), threads);
+    std::uint64_t sum = 0;
+    for (std::uint64_t p : fused_stats.shard_probes) sum += p;
+    EXPECT_EQ(sum, fused_stats.probes);
     EXPECT_EQ(fused_stats.edges, fused.num_edges());
     EXPECT_GE(fused_stats.marked, fused_stats.edges);
     // Timing split contract: mark + build == total (up to clock reads),

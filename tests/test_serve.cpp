@@ -7,7 +7,7 @@
 // Layers covered here:
 //   - protocol golden frames and strict payload decoding,
 //   - malformed / truncated frame handling per the poison contract,
-//   - cache hit/miss/evict semantics and the scheme-lane key rule,
+//   - cache hit/miss/evict semantics and the lane-independent key,
 //   - QoS envelopes: budget- and cancel-tripped requests degrade
 //     without poisoning the cache,
 //   - concurrency: 8 clients bit-identical to solo (serve::divergence),
@@ -228,15 +228,13 @@ TEST(ServeProtocol, OversizedTextTruncatesInsteadOfOverflowingTheFrame) {
 TEST(ServeCache, SlashContainingSourceNamesCannotAliasSparsifierKeys) {
   serve::GraphCache cache(64ull << 20);
   std::uint64_t bytes = 0;
-  cache.put_sparsifier({"x", 5, 7, 2}, disk_graph(16, 0xa11a), &bytes);
-  EXPECT_NE(cache.get_sparsifier({"x", 5, 7, 2}), nullptr);
-  // Scheme normalization still collapses all parallel lane counts...
-  EXPECT_NE(cache.get_sparsifier({"x", 5, 7, 8}), nullptr);
-  // ...but no '/'-crafted source may resolve to the same entry, and a
-  // different delta/seed under the same source stays distinct too.
-  EXPECT_EQ(cache.get_sparsifier({"x/5", 7, 2, 2}), nullptr);
-  EXPECT_EQ(cache.get_sparsifier({"x/5/7", 2, 0, 2}), nullptr);
-  EXPECT_EQ(cache.get_sparsifier({"x", 5, 8, 2}), nullptr);
+  cache.put_sparsifier({"x", 5, 7}, disk_graph(16, 0xa11a), &bytes);
+  EXPECT_NE(cache.get_sparsifier({"x", 5, 7}), nullptr);
+  // No '/'-crafted source may resolve to the same entry, and a different
+  // delta/seed under the same source stays distinct too.
+  EXPECT_EQ(cache.get_sparsifier({"x/5", 7, 2}), nullptr);
+  EXPECT_EQ(cache.get_sparsifier({"x/5/7", 2, 0}), nullptr);
+  EXPECT_EQ(cache.get_sparsifier({"x", 5, 8}), nullptr);
 }
 
 TEST(ServeCache, LruEvictionDropsTheGraphsSparsifiers) {
@@ -246,7 +244,7 @@ TEST(ServeCache, LruEvictionDropsTheGraphsSparsifiers) {
   std::uint64_t bytes = 0;
   bool replaced = false;
   cache.put_graph("a", g, &bytes, &replaced);
-  const serve::SparsifierKey sa{"a", 5, 7, 1};
+  const serve::SparsifierKey sa{"a", 5, 7};
   cache.put_sparsifier(sa, g, &bytes);
   // A request touches its graph before its sparsifier, so the graph is
   // the older of the two and LRU reaches it first.
@@ -276,7 +274,7 @@ TEST(ServeCache, SparsifierNeverEvictsItsOwnGraph) {
   cache.put_graph("a", g, &bytes, &replaced);
   // G_Δ of a fits only in a's place; caching it there would leave a
   // sparsifier no request can reach, so it is handed back uncached.
-  const serve::SparsifierKey sa{"a", 5, 7, 1};
+  const serve::SparsifierKey sa{"a", 5, 7};
   EXPECT_NE(cache.put_sparsifier(sa, g, &bytes), nullptr);
   EXPECT_EQ(bytes, 0u);
   EXPECT_NE(cache.get_graph("a"), nullptr);
@@ -448,7 +446,7 @@ TEST_F(ServeEndToEnd, PipelineBypassesTheCache) {
   EXPECT_EQ(server_->cache().stats().sparsifiers, 0u);
 }
 
-TEST_F(ServeEndToEnd, SparsifyWarmsTheCacheAndLanesShareTheParallelScheme) {
+TEST_F(ServeEndToEnd, SparsifyWarmsTheCacheAndEveryLaneCountSharesIt) {
   const Graph g = sampled_graph();
   Client c = client();
   ASSERT_TRUE(c.load(load_of("g", g)).has_value());
@@ -459,16 +457,17 @@ TEST_F(ServeEndToEnd, SparsifyWarmsTheCacheAndLanesShareTheParallelScheme) {
   EXPECT_GT(cold->edges, 0u);
   EXPECT_GT(cold->bytes_charged, 0u);
 
-  // Any parallel lane count draws the same edges: threads=4 is a HIT
-  // on the threads=2 entry...
+  // Every lane count draws the same edges: threads=1 and threads=4 are
+  // HITs on the threads=2 entry.
+  const auto one_lane = c.sparsify(job_of("g", 11, /*threads=*/1));
+  ASSERT_TRUE(one_lane.has_value());
+  EXPECT_EQ(one_lane->cache_hit, 1);
+  EXPECT_EQ(one_lane->edges, cold->edges);
   const auto lanes4 = c.sparsify(job_of("g", 11, /*threads=*/4));
   ASSERT_TRUE(lanes4.has_value());
   EXPECT_EQ(lanes4->cache_hit, 1);
   EXPECT_EQ(lanes4->edges, cold->edges);
-  // ...while the legacy serial stream is its own scheme (a miss).
-  const auto serial = c.sparsify(job_of("g", 11, /*threads=*/1));
-  ASSERT_TRUE(serial.has_value());
-  EXPECT_EQ(serial->cache_hit, 0);
+  EXPECT_EQ(server_->cache().stats().sparsifiers, 1u);
 
   // MATCH on the warmed lane is a hit from the first request.
   const auto hit = c.match(job_of("g", 11, /*threads=*/2));

@@ -23,8 +23,8 @@ class SparsifierInvariantTest : public ::testing::TestWithParam<SweepCase> {
     const auto& family = gen::standard_families()[GetParam().family_index];
     const VertexId n = family.name == "complete" ? 150 : 500;
     graph_ = family.make(n, GetParam().seed);
-    Rng rng(mix64(GetParam().seed, GetParam().delta));
-    edges_ = sparsify_edges(graph_, GetParam().delta, rng);
+    edges_ = sparsify_edges(graph_, GetParam().delta,
+                            mix64(GetParam().seed, GetParam().delta));
   }
 
   Graph graph_;

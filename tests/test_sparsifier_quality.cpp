@@ -30,7 +30,7 @@ TEST_P(SparsifierQualityTest, RatioWithinOnePlusEps) {
     const VertexId delta =
         SparsifierParams::practical(family.beta_bound, param.eps).delta;
     Rng rng(2000 + trial);
-    const Graph gd = sparsify(g, delta, rng);
+    const Graph gd = sparsify(g, delta, rng());
     const VertexId full = blossom_mcm(g).size();
     const VertexId sparse = blossom_mcm(gd).size();
     ASSERT_LE(sparse, full);
@@ -63,7 +63,7 @@ TEST(SparsifierQuality, TinyDeltaDegradesGracefully) {
   // vertex contributes an edge), but exactness is not expected.
   Rng rng(1);
   const Graph g = gen::complete_graph(100);
-  const Graph gd = sparsify(g, 1, rng);
+  const Graph gd = sparsify(g, 1, rng());
   const VertexId kept = blossom_mcm(gd).size();
   EXPECT_GE(kept, 25u);
   EXPECT_LE(kept, 50u);
@@ -79,7 +79,7 @@ TEST(SparsifierQuality, BridgeEdgeRarelyKept) {
   constexpr int kTrials = 60;
   for (int trial = 0; trial < kTrials; ++trial) {
     Rng rng(5000 + trial);
-    const EdgeList edges = sparsify_edges(g, delta, rng);
+    const EdgeList edges = sparsify_edges(g, delta, rng());
     kept += std::binary_search(edges.begin(), edges.end(), bridge);
   }
   // Expected keep rate ~ 2*(2Δ)/(n/2) ≈ 0.1; 60 trials should stay well

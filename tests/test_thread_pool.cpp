@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace matchsparse {
@@ -44,6 +47,39 @@ TEST(ParallelFor, MoreIterationsThanThreads) {
     sum.fetch_add(static_cast<long>(i));
   });
   EXPECT_EQ(sum.load(), 257L * 256 / 2);
+}
+
+TEST(ParallelFor, WaitsOnlyForItsOwnIterations) {
+  // Another caller's task holds one of three workers; a two-iteration
+  // loop runs on the other two and must return while that task is still
+  // blocked.
+  ThreadPool pool(3);
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::promise<void> holding;
+  pool.submit([released, &holding] {
+    holding.set_value();
+    released.wait();
+  });
+  holding.get_future().wait();
+  std::atomic<int> ran{0};
+  auto call = std::async(std::launch::async, [&] {
+    parallel_for(pool, 2, [&](std::size_t) { ran.fetch_add(1); });
+  });
+  const std::future_status status = call.wait_for(std::chrono::seconds(10));
+  release.set_value();
+  call.wait();
+  pool.wait_idle();
+  EXPECT_EQ(status, std::future_status::ready);
+  EXPECT_EQ(ran.load(), 2);
+}
+
+TEST(ParallelFor, OneIterationRunsOnTheCallingThread) {
+  ThreadPool pool(2);
+  std::thread::id ran_on;
+  parallel_for(pool, 1,
+               [&](std::size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(ThreadPool, ReusableAcrossBatches) {
