@@ -77,8 +77,10 @@ void table_scaling() {
   std::printf(
       "# shape check: 'sparsify+match' probes/2m falls steadily with n — "
       "the Theorem 3.1 sublinearity in the adjacency-array query model. "
-      "Honest caveats: (1) wall-clock time is dominated by the O(n*delta "
-      "log) mark-sort and CSR build, so at these sizes the full-graph "
+      "Honest caveats: (1) wall-clock time is dominated by building "
+      "G_delta (the marking pass's delta random reads per vertex, then the "
+      "CSR build of the n*delta marks; the matcher on G_delta takes a few "
+      "ms), so at these sizes the full-graph "
       "matcher is faster in seconds even while reading 25x more of the "
       "input — the query model is where the theorem's win is defined, and "
       "probe counts are the model-accurate cost; (2) these dense random "
