@@ -163,8 +163,9 @@ TEST(ApproxMcm, ChargesItsArraysToTheActiveGuard) {
 }
 
 TEST(ApproxMcm, GoldenMatesBlossomHeavyLineGraph) {
-  // L(ER) with an odd base edge count: one vertex stays free, so the last
-  // sweep's search from it fails after contracting many triangles.
+  // L(ER) with an odd base edge count: one vertex stays free. Its search
+  // fails after contracting many triangles and runs once, in sweep 1:
+  // sweep 2 ends past sweep 1's last augmenting root, before reaching it.
   Rng rng(43);
   const Graph base = gen::erdos_renyi(12, 3.0, rng);
   ASSERT_EQ(base.num_edges() % 2, 1u);
@@ -181,14 +182,14 @@ TEST(ApproxMcm, GoldenMatesBlossomHeavyLineGraph) {
     EXPECT_EQ(mate_or_minus_one(m, v), golden[v]) << "vertex " << v;
   }
   EXPECT_EQ(stats.sweeps, 2u);
-  EXPECT_EQ(stats.searches, 3u);
+  EXPECT_EQ(stats.searches, 2u);
   EXPECT_EQ(stats.augmentations, 1u);
 #if MATCHSPARSE_OBS_ENABLED
   // Every search bumps the search version and every contraction the
   // blossom version, so the difference counts contractions.
   const std::uint64_t resets =
       registry.snapshot().counter_value("matching.aug.stamp_resets");
-  EXPECT_EQ(resets - stats.searches, 22u);
+  EXPECT_EQ(resets - stats.searches, 13u);
 #endif
 }
 
@@ -197,6 +198,45 @@ std::uint64_t mate_hash(const Graph& g, double eps) {
   std::uint64_t h = g.num_vertices();
   for (VertexId v = 0; v < g.num_vertices(); ++v) h = mix64(h, m.mate(v));
   return h;
+}
+
+TEST(ApproxMcm, LastSweepEndsPastThePreviousSweepsLastAugmentingRoot) {
+  // A path 2-0-1-3 and a triangle 4-5-6. Greedy matches 0-1 and 4-5 and
+  // leaves 2, 3 and 6 free. Sweep 1 augments from root 2, then the search
+  // from 6 fails. Sweep 2 meets the matching root 2 left unchanged, so it
+  // ends at root 3 instead of searching 6 again.
+  const Graph g = Graph::from_edges(
+      7, {{0, 1}, {0, 2}, {1, 3}, {4, 5}, {4, 6}, {5, 6}});
+  const int golden[7] = {2, 3, 0, 1, 5, 4, -1};
+  for (const double eps : {1.0, 0.5, 0.25}) {
+    ApproxMcmStats stats;
+    const Matching m = approx_mcm(g, eps, &stats);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      EXPECT_EQ(mate_or_minus_one(m, v), golden[v])
+          << "eps " << eps << " vertex " << v;
+    }
+    EXPECT_EQ(stats.searches, 2u) << "eps " << eps;
+    EXPECT_EQ(stats.augmentations, 1u) << "eps " << eps;
+    EXPECT_EQ(stats.sweeps, 2u) << "eps " << eps;
+  }
+}
+
+TEST(ApproxMcm, RootThatFailedInOneSweepAugmentsInTheNext) {
+  // Here a root whose search failed in one sweep augments in the next,
+  // after a later root's augmentation changed the matching. A last sweep
+  // that skipped every root that failed in any earlier sweep would stop
+  // at |M| = 62.
+  Rng rng(1984);
+  const Graph g = gen::line_graph(gen::erdos_renyi(80, 3.0, rng));
+  ASSERT_EQ(g.num_vertices(), 126u);
+  ASSERT_EQ(g.num_edges(), 376u);
+  ApproxMcmStats stats;
+  const Matching m = approx_mcm(g, 1.0, &stats);
+  EXPECT_EQ(m.size(), 63u);
+  EXPECT_EQ(stats.searches, 9u);
+  EXPECT_EQ(stats.augmentations, 6u);
+  EXPECT_EQ(stats.sweeps, 3u);
+  EXPECT_EQ(mate_hash(g, 1.0), 0x6af12f02a80a26c8u);
 }
 
 TEST(ApproxMcm, GoldenMateHashCorpus) {
