@@ -7,10 +7,13 @@
 // 2k−1 edges, then |M| >= k/(k+1)·|MCM|, i.e. M is a (1+1/k)-approximation.
 // The matcher therefore greedily initialises (2-approx), then repeatedly
 // runs depth-limited Edmonds blossom searches from free vertices and
-// augments along any path found, sweeping until a full pass over the free
-// vertices finds nothing. Augmenting along a longer-than-cap path is
-// allowed whenever the search stumbles on one (it only increases |M|); the
-// depth limit is purely a work bound.
+// augments along any path found, sweeping over the free vertices until a
+// sweep finds nothing. That last sweep ends past the previous sweep's last
+// augmenting root: a search's outcome depends only on the matching, the
+// root and the cap, and every root after that one is matched or already
+// failed against the same matching. Augmenting along a longer-than-cap
+// path is allowed whenever the search stumbles on one (it only increases
+// |M|); the depth limit is purely a work bound.
 //
 // Engineering note: depth accounting across blossom contractions is
 // conservative (contracted vertices inherit the depth of the blossom
@@ -40,7 +43,8 @@ VertexId path_cap_for_eps(double eps);
 struct ApproxMcmStats {
   std::size_t searches = 0;       // depth-limited blossom searches run
   std::size_t augmentations = 0;  // successful augmenting paths
-  std::size_t sweeps = 0;         // full passes over the free vertices
+  std::size_t sweeps = 0;         // passes over the free vertices; the
+                                  // last may end early (see above)
 };
 
 /// (1+eps)-approximate MCM on a general graph. O(m) greedy init plus
