@@ -496,12 +496,14 @@ int main() {
   chaos_table.print();
   chaos_server.stop();
 
-  const auto t = server.telemetry();
-  if (t.errors != 0 || t.shed != 0) {
+  const serve::ServeTelemetry& t = server.telemetry_plane();
+  const std::uint64_t errors = t.value(serve::ServeCounter::kErrors);
+  const std::uint64_t shed = t.value(serve::ServeCounter::kShed);
+  if (errors != 0 || shed != 0) {
     std::fprintf(stderr, "GATE: server refused work on the no-fault "
                          "workload (errors=%llu shed=%llu)\n",
-                 static_cast<unsigned long long>(t.errors),
-                 static_cast<unsigned long long>(t.shed));
+                 static_cast<unsigned long long>(errors),
+                 static_cast<unsigned long long>(shed));
     gates_ok = false;
   }
   std::printf("\nserve bench gates: %s\n", gates_ok ? "OK" : "FAILED");

@@ -8,6 +8,9 @@ Checks, on each scrape:
     name in the exposition charset,
   - every sample's family was announced by # HELP and # TYPE lines
     before its first sample,
+  - each family is announced once (one HELP and one TYPE line) and its
+    lines form one group: no sample of a family after another family's
+    HELP/TYPE lines,
   - counter samples (TYPE counter) are non-negative integers and their
     names end in `_total`,
   - summary families keep their quantile series ordered: the 0.5
@@ -61,6 +64,7 @@ def parse_scrape(path):
     samples = {}
     types = {}
     helped = set()
+    current = None  # the family whose HELP/TYPE lines came last
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.rstrip("\n")
@@ -71,8 +75,12 @@ def parse_scrape(path):
                 parts = line.split(" ", 3)
                 if len(parts) < 4 or not NAME_RE.match(parts[2]):
                     err(f"{where}: malformed HELP line: {line}")
-                else:
-                    helped.add(parts[2])
+                    continue
+                if parts[2] in helped:
+                    err(f"{where}: family {parts[2]} announced twice "
+                        f"(second HELP)")
+                helped.add(parts[2])
+                current = parts[2]
                 continue
             if line.startswith("# TYPE "):
                 parts = line.split(" ")
@@ -83,7 +91,11 @@ def parse_scrape(path):
                     continue
                 if parts[2] not in helped:
                     err(f"{where}: TYPE without preceding HELP: {parts[2]}")
+                if parts[2] in types:
+                    err(f"{where}: family {parts[2]} announced twice "
+                        f"(second TYPE)")
                 types[parts[2]] = parts[3]
+                current = parts[2]
                 continue
             if line.startswith("#"):
                 continue  # free-form comment
@@ -101,6 +113,9 @@ def parse_scrape(path):
             if family not in types and name not in types:
                 err(f"{where}: sample before any TYPE for its family: "
                     f"{name}")
+            elif current not in (family, name):
+                err(f"{where}: sample {name} outside its family's group "
+                    f"(split by {current})")
             key = name + (m.group("labels") or "")
             if key in samples:
                 err(f"{where}: duplicate series: {key}")

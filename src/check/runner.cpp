@@ -92,7 +92,7 @@ void publish_cell(const std::string& property, const PropertyResult& r,
   obs::counter(prefix + status_suffix(r.status)).add(1);
   // Corpus replays are untimed (micros == 0) and stay out of the
   // distribution.
-  if (micros > 0.0) obs::histogram(prefix + ".micros").observe(micros);
+  if (micros > 0.0) obs::bucket_histogram(prefix + ".micros").observe(micros);
 }
 
 }  // namespace

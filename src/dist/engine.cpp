@@ -12,14 +12,12 @@ namespace matchsparse::dist {
 namespace {
 
 /// Mirrors one run's TrafficStats deltas into the metrics registry (the
-/// façade described in the header): "dist.*" counters plus per-protocol
-/// per-round message/bit histograms. Called once per run, so plain
-/// registry lookups are fine for every name — and required since §14:
-/// obs::counter() resolves the AMBIENT registry, so a static-cached
-/// reference would pin the first request's registry for all later runs.
-void publish_traffic(const char* protocol_name, const TrafficStats& s,
-                     const StreamingStats& round_msgs,
-                     const StreamingStats& round_bits) {
+/// façade described in the header): "dist.*" counters. Called once per
+/// run, so plain registry lookups are fine for every name — and required
+/// since §14: obs::counter() resolves the AMBIENT registry, so a
+/// static-cached reference would pin the first request's registry for
+/// all later runs.
+void publish_traffic(const std::string& prefix, const TrafficStats& s) {
   obs::counter("dist.msgs.sent").add(s.messages);
   obs::counter("dist.bits.sent").add(s.bits);
   obs::counter("dist.msgs.retransmitted").add(s.retransmissions);
@@ -33,13 +31,8 @@ void publish_traffic(const char* protocol_name, const TrafficStats& s,
   obs::counter("dist.rounds.crashed_node").add(s.crashed_node_rounds);
   obs::counter("dist.runs.total").add(1);
   if (s.completed) obs::counter("dist.runs.completed").add(1);
-  const std::string prefix = std::string("dist.") + protocol_name;
   obs::counter(prefix + ".msgs").add(s.messages);
   obs::counter(prefix + ".bits").add(s.bits);
-  if (round_msgs.count() > 0) {
-    obs::histogram(prefix + ".round.msgs").merge(round_msgs);
-    obs::histogram(prefix + ".round.bits").merge(round_bits);
-  }
 }
 
 }  // namespace
@@ -217,10 +210,13 @@ TrafficStats Network::run(Protocol& protocol, std::size_t max_rounds) {
     down_until_[v] = 0;
   }
 
-  // Per-round traffic distributions, accumulated locally and merged into
-  // the registry once at the end so the round loop takes no locks.
-  StreamingStats round_msgs;
-  StreamingStats round_bits;
+  // Per-round traffic distributions, resolved once per run; observe()
+  // takes no lock, so the round loop writes them directly.
+  const std::string prefix = std::string("dist.") + protocol.name();
+  obs::BucketHistogram& round_msgs =
+      obs::bucket_histogram(prefix + ".round.msgs");
+  obs::BucketHistogram& round_bits =
+      obs::bucket_histogram(prefix + ".round.bits");
 
   for (round_ = 0; round_ < max_rounds; ++round_) {
     if (protocol.done()) {
@@ -246,15 +242,15 @@ TrafficStats Network::run(Protocol& protocol, std::size_t max_rounds) {
       protocol.on_round(ctx);
     }
     ++stats_.rounds;
-    round_msgs.add(static_cast<double>(round_messages_));
-    round_bits.add(static_cast<double>(stats_.bits - bits_before));
+    round_msgs.observe(static_cast<double>(round_messages_));
+    round_bits.observe(static_cast<double>(stats_.bits - bits_before));
     if (round_messages_ > 0) ++stats_.active_rounds;
     if (plan_.can_fault() && round_ >= plan_.fault_rounds) {
       ++stats_.recovery_rounds;
     }
   }
   if (!stats_.completed && protocol.done()) stats_.completed = true;
-  publish_traffic(protocol.name(), stats_, round_msgs, round_bits);
+  publish_traffic(prefix, stats_);
   return stats_;
 }
 

@@ -1,11 +1,10 @@
-// Lock-free fixed-log-bucket histogram — the serving-path counterpart
-// of the mutex-guarded obs::Histogram (DESIGN.md §16).
+// Lock-free fixed-log-bucket histogram — the registry's only
+// distribution instrument (DESIGN.md §16).
 //
-// obs::Histogram wraps a StreamingStats under a mutex: fine for
-// once-per-run merges, wrong for a daemon hot path where dozens of
-// session threads record a latency per request and a scrape may walk
-// the distribution concurrently. BucketHistogram instead keeps a fixed
-// array of atomic per-bucket counters over log-spaced value buckets:
+// A daemon hot path has dozens of session threads recording a latency
+// per request while a scrape may walk the distribution concurrently, so
+// BucketHistogram takes no lock: it keeps a fixed array of atomic
+// per-bucket counters over log-spaced value buckets:
 //
 //   observe()   one relaxed fetch_add on the bucket counter (plus one
 //               relaxed CAS-add on the running sum) — no locks, no
@@ -41,7 +40,7 @@
 //
 // Compile-time gating: with MATCHSPARSE_OBS_ENABLED=0 the enabled class
 // is replaced by an empty inline no-op (static_assert(is_empty_v) in
-// the disabled-TU test), same contract as Counter/Gauge/Histogram.
+// the disabled-TU test), same contract as Counter/Gauge.
 #pragma once
 
 #include <array>

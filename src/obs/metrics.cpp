@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <mutex>
 #include <vector>
 
 #include "util/ambient.hpp"
@@ -77,17 +78,6 @@ std::string MetricsSnapshot::to_json() const {
       case MetricKind::kGauge:
         append_json_number(out, m.value);
         break;
-      case MetricKind::kHistogram:
-        out += "{\"count\":" + std::to_string(m.count) + ",\"sum\":";
-        append_json_number(out, m.value);
-        out += ",\"mean\":";
-        append_json_number(out, m.mean);
-        out += ",\"min\":";
-        append_json_number(out, m.min);
-        out += ",\"max\":";
-        append_json_number(out, m.max);
-        out += '}';
-        break;
       case MetricKind::kBucketHistogram:
         out += "{\"count\":" + std::to_string(m.count) + ",\"sum\":";
         append_json_number(out, m.value);
@@ -111,27 +101,6 @@ std::string MetricsSnapshot::to_json() const {
 
 #if MATCHSPARSE_OBS_ENABLED
 
-void Histogram::observe(double x) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  stats_.add(x);
-}
-
-void Histogram::merge(const StreamingStats& local) {
-  if (local.count() == 0) return;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  stats_.merge(local);
-}
-
-StreamingStats Histogram::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-void Histogram::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  stats_ = StreamingStats{};
-}
-
 /// std::map keeps iteration sorted by name (snapshot determinism) and
 /// never invalidates element addresses, so returned references are
 /// stable for the process lifetime.
@@ -140,7 +109,6 @@ struct Registry::State {
   std::map<std::string, MetricKind, std::less<>> kinds;
   std::map<std::string, Counter, std::less<>> counters;
   std::map<std::string, Gauge, std::less<>> gauges;
-  std::map<std::string, Histogram, std::less<>> histograms;
   std::map<std::string, BucketHistogram, std::less<>> bucket_histograms;
 
   void check_kind(std::string_view name, MetricKind kind) {
@@ -193,8 +161,8 @@ void Registry::merge_into(Registry& target) const {
   MS_CHECK_MSG(this != &target, "registry cannot merge into itself");
   // Walk this registry under its own lock collecting only raw scalar
   // values and stable instrument/name addresses (map nodes are never
-  // erased), then read the heavyweight instruments and write into the
-  // target — under the target's lock, per accessor — outside it.
+  // erased), then read the histograms and write into the target —
+  // under the target's lock, per accessor — outside it.
   // Merges only ever flow request-registry → aggregate registry, so
   // the two-step never inverts a lock order.
   struct ScalarEntry {
@@ -203,21 +171,15 @@ void Registry::merge_into(Registry& target) const {
     std::uint64_t count;
     double value;
   };
-  struct HistEntry {
-    const std::string* name;
-    const Histogram* hist;
-  };
   struct BucketEntry {
     const std::string* name;
     const BucketHistogram* hist;
   };
   std::vector<ScalarEntry> scalars;
-  std::vector<HistEntry> hists;
   std::vector<BucketEntry> buckets;
   {
     const std::lock_guard<std::mutex> lock(state_->mutex);
     scalars.reserve(state_->counters.size() + state_->gauges.size());
-    hists.reserve(state_->histograms.size());
     buckets.reserve(state_->bucket_histograms.size());
     for (const auto& [name, counter] : state_->counters) {
       scalars.push_back(
@@ -226,9 +188,6 @@ void Registry::merge_into(Registry& target) const {
     for (const auto& [name, gauge] : state_->gauges) {
       scalars.push_back(
           ScalarEntry{&name, MetricKind::kGauge, 0, gauge.value()});
-    }
-    for (const auto& [name, histogram] : state_->histograms) {
-      hists.push_back(HistEntry{&name, &histogram});
     }
     for (const auto& [name, histogram] : state_->bucket_histograms) {
       buckets.push_back(BucketEntry{&name, &histogram});
@@ -241,9 +200,6 @@ void Registry::merge_into(Registry& target) const {
     } else {
       target.gauge(*m.name).set(m.value);
     }
-  }
-  for (const HistEntry& h : hists) {
-    target.histogram(*h.name).merge(h.hist->stats());
   }
   for (const BucketEntry& b : buckets) {
     target.bucket_histogram(*b.name).merge(b.hist->snapshot());
@@ -262,12 +218,6 @@ Gauge& Registry::gauge(std::string_view name) {
   return state_->gauges[std::string(name)];
 }
 
-Histogram& Registry::histogram(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(state_->mutex);
-  state_->check_kind(name, MetricKind::kHistogram);
-  return state_->histograms[std::string(name)];
-}
-
 BucketHistogram& Registry::bucket_histogram(std::string_view name) {
   const std::lock_guard<std::mutex> lock(state_->mutex);
   state_->check_kind(name, MetricKind::kBucketHistogram);
@@ -276,17 +226,16 @@ BucketHistogram& Registry::bucket_histogram(std::string_view name) {
 
 MetricsSnapshot Registry::snapshot() const {
   // Phase 1, under the registry mutex: raw scalar values plus stable
-  // name/instrument addresses only — no string copies, no per-
-  // instrument locks, no atomic sweeps. Phase 2, after release: read
-  // the heavyweight instruments and build (allocate) the MetricValues.
+  // name/instrument addresses only — no string copies, no histogram
+  // sweeps. Phase 2, after release: read the histograms and build
+  // (allocate) the MetricValues.
   // Map nodes are never erased, so the collected addresses stay valid.
   struct Entry {
     const std::string* name;
     MetricKind kind;
     std::uint64_t count = 0;
     double value = 0.0;
-    const Histogram* hist = nullptr;
-    const BucketHistogram* bhist = nullptr;
+    const BucketHistogram* hist = nullptr;
   };
   std::vector<Entry> entries;
   {
@@ -306,18 +255,11 @@ MetricsSnapshot Registry::snapshot() const {
       e.value = gauge.value();
       entries.push_back(e);
     }
-    for (const auto& [name, histogram] : state_->histograms) {
-      Entry e;
-      e.name = &name;
-      e.kind = MetricKind::kHistogram;
-      e.hist = &histogram;
-      entries.push_back(e);
-    }
     for (const auto& [name, histogram] : state_->bucket_histograms) {
       Entry e;
       e.name = &name;
       e.kind = MetricKind::kBucketHistogram;
-      e.bhist = &histogram;
+      e.hist = &histogram;
       entries.push_back(e);
     }
   }
@@ -334,17 +276,8 @@ MetricsSnapshot Registry::snapshot() const {
       case MetricKind::kGauge:
         m.value = e.value;
         break;
-      case MetricKind::kHistogram: {
-        const StreamingStats s = e.hist->stats();
-        m.count = s.count();
-        m.value = s.sum();
-        m.mean = s.mean();
-        m.min = s.min();
-        m.max = s.max();
-        break;
-      }
       case MetricKind::kBucketHistogram: {
-        const HistogramSnapshot s = e.bhist->snapshot();
+        const HistogramSnapshot s = e.hist->snapshot();
         m.count = s.count();
         m.value = s.sum;
         m.mean = s.mean();
@@ -370,7 +303,6 @@ void Registry::reset_all() {
   const std::lock_guard<std::mutex> lock(state_->mutex);
   for (auto& [name, counter] : state_->counters) counter.reset();
   for (auto& [name, gauge] : state_->gauges) gauge.reset();
-  for (auto& [name, histogram] : state_->histograms) histogram.reset();
   for (auto& [name, histogram] : state_->bucket_histograms) histogram.reset();
 }
 

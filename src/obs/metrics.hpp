@@ -9,15 +9,10 @@
 //               cheap enough for per-call accounting on hot paths.
 //   Gauge     — a last-write-wins double (e.g. the Obs 2.10 density
 //               ratio "sparsify.edges.vs_bound").
-//   Histogram — a mutex-guarded StreamingStats; per-sample observe() or
-//               a bulk merge() of a locally accumulated StreamingStats
-//               (the pattern hot loops use so the lock is taken once).
 //   BucketHistogram — a lock-free fixed-log-bucket distribution
 //               (obs/histogram.hpp) with bounded-relative-error
-//               p50/p90/p95/p99 estimation; the serving-path instrument
-//               (DESIGN.md §16) for per-sample observe() under
-//               concurrent scrapes, where Histogram's mutex would sit
-//               on the hot path.
+//               p50/p90/p95/p99 estimation; observe() takes no lock, so
+//               it is safe per sample under concurrent scrapes.
 //
 // Instrument resolution is AMBIENT: obs::counter("x") writes into the
 // current thread's installed Registry (a request-scoped registry set up
@@ -29,8 +24,8 @@
 // returned reference in a function-local `static` (the old stable-
 // address idiom): a static would pin every later request to whichever
 // registry the first caller ran under. Hot loops keep the lookups off
-// the inner path the same way the histograms always have — accumulate
-// locally, publish once per run.
+// the inner path by resolving an instrument once per run into a local
+// reference and writing through it.
 //
 // snapshot() returns every registered instrument sorted by name, so two
 // runs doing the same work produce byte-identical snapshots regardless
@@ -52,13 +47,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "obs/histogram.hpp"
-#include "util/stats.hpp"
 
 #ifndef MATCHSPARSE_OBS_ENABLED
 #define MATCHSPARSE_OBS_ENABLED 1
@@ -66,12 +59,12 @@
 
 namespace matchsparse::obs {
 
-enum class MetricKind { kCounter, kGauge, kHistogram, kBucketHistogram };
+enum class MetricKind { kCounter, kGauge, kBucketHistogram };
 
 /// One exported instrument value. Counters fill `count`; gauges fill
-/// `value`; histograms fill the distribution fields plus `count`;
-/// bucket histograms additionally fill the quantile estimates (min/max
-/// hold the 0- and 1-quantile bucket representatives).
+/// `value`; histograms fill `count`, `value` (the sum), `mean` and the
+/// quantile estimates (min/max hold the 0- and 1-quantile bucket
+/// representatives).
 struct MetricValue {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
@@ -129,19 +122,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-class Histogram {
- public:
-  void observe(double x);
-  /// Folds a locally accumulated StreamingStats in under one lock.
-  void merge(const StreamingStats& local);
-  StreamingStats stats() const;
-  void reset();
-
- private:
-  mutable std::mutex mutex_;
-  StreamingStats stats_;
-};
-
 /// Name → instrument map with stable addresses: a returned reference
 /// stays valid for the REGISTRY's lifetime. Instantiable since §14 —
 /// every guard::RunContext owns one — with the process-wide instance()
@@ -159,14 +139,12 @@ class Registry {
   /// as a different kind — one name means one instrument.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name);
   BucketHistogram& bucket_histogram(std::string_view name);
 
   /// Sorted point-in-time copy. Only the raw instrument values are read
-  /// under the registry mutex; per-instrument reads that take their own
-  /// lock (Histogram) or sweep hundreds of atomics (BucketHistogram)
-  /// and every string allocation happen after it is released, so a
-  /// scrape never stalls concurrent instrument resolution.
+  /// under the registry mutex; histogram reads (a sweep of hundreds of
+  /// atomics) and every string allocation happen after it is released,
+  /// so a scrape never stalls concurrent instrument resolution.
   MetricsSnapshot snapshot() const;
 
   /// Folds every instrument of this registry into `target`: counters
@@ -213,9 +191,6 @@ inline Counter& counter(std::string_view name) {
 inline Gauge& gauge(std::string_view name) {
   return resolve_registry().gauge(name);
 }
-inline Histogram& histogram(std::string_view name) {
-  return resolve_registry().histogram(name);
-}
 inline BucketHistogram& bucket_histogram(std::string_view name) {
   return resolve_registry().bucket_histogram(name);
 }
@@ -241,13 +216,6 @@ struct Gauge {
   void reset() {}
 };
 
-struct Histogram {
-  void observe(double) {}
-  void merge(const StreamingStats&) {}
-  StreamingStats stats() const { return {}; }
-  void reset() {}
-};
-
 struct Registry {
   static Registry& instance() {
     static Registry r;
@@ -260,10 +228,6 @@ struct Registry {
   Gauge& gauge(std::string_view) {
     static Gauge g;
     return g;
-  }
-  Histogram& histogram(std::string_view) {
-    static Histogram h;
-    return h;
   }
   BucketHistogram& bucket_histogram(std::string_view) {
     static BucketHistogram h;
@@ -288,10 +252,6 @@ inline Counter& counter(std::string_view) {
 inline Gauge& gauge(std::string_view) {
   static Gauge g;
   return g;
-}
-inline Histogram& histogram(std::string_view) {
-  static Histogram h;
-  return h;
 }
 inline BucketHistogram& bucket_histogram(std::string_view) {
   static BucketHistogram h;

@@ -222,7 +222,7 @@ bool Server::spawn_session(int fd) {
     return false;
   }
   reap_finished_locked();
-  connections_.fetch_add(1, std::memory_order_relaxed);
+  telemetry_plane_.count(ServeCounter::kConnections);
   SessionSlot slot;
   slot.fd = fd;
   slot.done = std::make_shared<std::atomic<bool>>(false);
@@ -295,7 +295,7 @@ void Server::session(int fd) {
     const IoResult r = t.recv(buf.data(), buf.size());
     if (!r.ok()) {
       if (r.status == IoStatus::kTimeout) {
-        sessions_reaped_.fetch_add(1, std::memory_order_relaxed);
+        telemetry_plane_.count(ServeCounter::kSessionsReaped);
       }
       break;  // peer closed / stalled out (or stop() shut us down)
     }
@@ -313,14 +313,14 @@ bool Server::send_frame(Transport& t, const Frame& f) {
   const std::vector<std::uint8_t> wire = encode_frame(f);
   const IoStatus st = t.send_all(wire.data(), wire.size());
   if (st == IoStatus::kTimeout) {
-    sessions_reaped_.fetch_add(1, std::memory_order_relaxed);
+    telemetry_plane_.count(ServeCounter::kSessionsReaped);
   }
   return st == IoStatus::kOk;
 }
 
 bool Server::send_error(Transport& t, std::uint64_t id, ErrorCode code,
                         const std::string& message, double retry_after_ms) {
-  errors_.fetch_add(1, std::memory_order_relaxed);
+  telemetry_plane_.count(ServeCounter::kErrors);
   telemetry_plane_.count_refusal(code);
   ErrorReply err;
   err.code = code;
@@ -330,7 +330,7 @@ bool Server::send_error(Transport& t, std::uint64_t id, ErrorCode code,
 }
 
 bool Server::handle_frame(Transport& t, const Frame& f, double queue_ms) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  telemetry_plane_.count(ServeCounter::kRequests);
   const auto dispatched = std::chrono::steady_clock::now();
   bool ok;
   switch (static_cast<FrameType>(f.type)) {
@@ -473,7 +473,7 @@ bool Server::serve_token_entry(Transport& t, const Frame& f,
     // while the first attempt is still executing): wait for that single
     // execution to finish rather than start a second one. The tick
     // keeps the wait honest about server drain.
-    dedup_waits_.fetch_add(1, std::memory_order_relaxed);
+    telemetry_plane_.count(ServeCounter::kDedupWaits);
     while (entry->state == TokenEntry::State::kRunning && !shutting_down()) {
       entry->cv.wait_for(lock, std::chrono::milliseconds(10));
     }
@@ -481,7 +481,7 @@ bool Server::serve_token_entry(Transport& t, const Frame& f,
   if (entry->state == TokenEntry::State::kDone) {
     Frame replay = entry->reply;
     lock.unlock();
-    dedup_replays_.fetch_add(1, std::memory_order_relaxed);
+    telemetry_plane_.count(ServeCounter::kDedupReplays);
     // The original reply, re-stamped with the retry's request id so the
     // client pairs it; everything else byte-identical.
     replay.request_id = f.request_id;
@@ -585,7 +585,7 @@ bool Server::handle_job_impl(Transport& t, const Frame& f, FlightRecord* rec) {
       }
     }
     if (!admitted) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
+      telemetry_plane_.count(ServeCounter::kShed);
       return refuse(ErrorCode::kShed, "inflight cap reached",
                     opts_.shed_retry_after_ms);
     }
@@ -600,7 +600,7 @@ bool Server::handle_job_impl(Transport& t, const Frame& f, FlightRecord* rec) {
   const std::uint64_t serial =
       next_serial_.fetch_add(1, std::memory_order_relaxed) + 1;
   rec->serial = serial;
-  jobs_executed_.fetch_add(1, std::memory_order_relaxed);
+  telemetry_plane_.count(ServeCounter::kJobsExecuted);
   guard::RunContext ctx("serve.req-" + std::to_string(serial));
   ctx.set_publish_on_destroy(opts_.publish_request_metrics);
   if (!opts_.trace_prefix.empty()) ctx.tracer().set_enabled(true);
@@ -631,7 +631,7 @@ bool Server::handle_job_impl(Transport& t, const Frame& f, FlightRecord* rec) {
         out = encode_reply(type, rep, f.request_id);
       } else {
         rec->error_code = static_cast<std::uint32_t>(err.code);
-        errors_.fetch_add(1, std::memory_order_relaxed);
+        telemetry_plane_.count(ServeCounter::kErrors);
         telemetry_plane_.count_refusal(err.code);
         out = encode_error(err, f.request_id);
       }
@@ -746,7 +746,7 @@ MatchReply Server::run_match(const JobRequest& req,
         outcome.result.sparsify_seconds = stats.total_seconds;
       }
     } else {
-      tripped_builds_.fetch_add(1, std::memory_order_relaxed);
+      telemetry_plane_.count(ServeCounter::kTrippedBuilds);
       const guard::StopReason why = build_guard.stop_reason();
       if (why == guard::StopReason::kCancelled ||
           limits.degrade == RunLimits::Degrade::kOff) {
@@ -820,7 +820,7 @@ bool Server::run_sparsify(const JobRequest& req,
   } catch (const guard::Interrupted& e) {
     // A bare build has no degradation ladder to fall back on: report
     // kTripped, cache untouched.
-    tripped_builds_.fetch_add(1, std::memory_order_relaxed);
+    telemetry_plane_.count(ServeCounter::kTrippedBuilds);
     error->code = ErrorCode::kTripped;
     error->message = e.what();
     return false;
@@ -839,10 +839,9 @@ bool Server::handle_stats(Transport& t, const Frame& f) {
                       "malformed STATS payload (unknown format byte?)");
   }
   const GraphCache::Stats cs = cache_.stats();
-  const Telemetry counters = telemetry();
   StatsReply rep;
   if (*format == kStatsFormatPrometheus) {
-    rep.json = telemetry_plane_.prometheus(counters, cs, shutting_down());
+    rep.json = telemetry_plane_.prometheus(inflight(), cs, shutting_down());
     return send_frame(t, encode_reply(FrameType::kStats, rep, f.request_id));
   }
   if (*format == kStatsFormatFlight) {
@@ -854,18 +853,11 @@ bool Server::handle_stats(Transport& t, const Frame& f) {
   // "schema" leads the document so consumers can reject before parsing
   // anything else (DESIGN.md §16); bumped only on breaking changes.
   append_json(j, "schema", kStatsSchemaVersion, /*first=*/true);
-  append_json(j, "requests", counters.requests);
-  append_json(j, "errors", counters.errors);
-  append_json(j, "shed", counters.shed);
-  append_json(j, "budget_clamped", counters.budget_clamped);
-  append_json(j, "tripped_builds", counters.tripped_builds);
-  append_json(j, "cancels_delivered", counters.cancels_delivered);
-  append_json(j, "jobs_executed", counters.jobs_executed);
-  append_json(j, "dedup_replays", counters.dedup_replays);
-  append_json(j, "dedup_waits", counters.dedup_waits);
-  append_json(j, "sessions_reaped", counters.sessions_reaped);
-  append_json(j, "connections", counters.connections);
-  append_json(j, "inflight", counters.inflight);
+  for (std::size_t i = 0; i < kServeCounters; ++i) {
+    const auto c = static_cast<ServeCounter>(i);
+    append_json(j, counter_key(c), telemetry_plane_.value(c));
+  }
+  append_json(j, "inflight", inflight());
   append_json(j, "shutting_down", shutting_down() ? 1 : 0);
   j += ",\"cache\":{";
   append_json(j, "hits", cs.hits, /*first=*/true);
@@ -904,7 +896,7 @@ bool Server::handle_cancel(Transport& t, const Frame& f) {
     if (it != inflight_.end()) {
       it->second->cancel();
       rep.found = 1;
-      cancels_delivered_.fetch_add(1, std::memory_order_relaxed);
+      telemetry_plane_.count(ServeCounter::kCancelsDelivered);
     }
   }
   return send_frame(t, encode_reply(FrameType::kCancel, rep, f.request_id));
@@ -934,7 +926,7 @@ std::uint64_t Server::grant_budget(std::uint64_t requested) {
   const std::uint64_t granted =
       std::min(requested, std::max<std::uint64_t>(avail, 1));
   if (granted < requested) {
-    budget_clamped_.fetch_add(1, std::memory_order_relaxed);
+    telemetry_plane_.count(ServeCounter::kBudgetClamped);
   }
   promised_budget_ += granted;
   return granted;
@@ -971,23 +963,6 @@ void Server::export_request_artifacts(guard::RunContext& ctx,
     ctx.tracer().export_chrome(opts_.trace_prefix + ".req" +
                                std::to_string(serial) + ".json");
   }
-}
-
-Server::Telemetry Server::telemetry() const {
-  Telemetry t;
-  t.connections = connections_.load(std::memory_order_relaxed);
-  t.requests = requests_.load(std::memory_order_relaxed);
-  t.errors = errors_.load(std::memory_order_relaxed);
-  t.shed = shed_.load(std::memory_order_relaxed);
-  t.budget_clamped = budget_clamped_.load(std::memory_order_relaxed);
-  t.tripped_builds = tripped_builds_.load(std::memory_order_relaxed);
-  t.cancels_delivered = cancels_delivered_.load(std::memory_order_relaxed);
-  t.jobs_executed = jobs_executed_.load(std::memory_order_relaxed);
-  t.dedup_replays = dedup_replays_.load(std::memory_order_relaxed);
-  t.dedup_waits = dedup_waits_.load(std::memory_order_relaxed);
-  t.sessions_reaped = sessions_reaped_.load(std::memory_order_relaxed);
-  t.inflight = inflight_count_.load(std::memory_order_relaxed);
-  return t;
 }
 
 }  // namespace matchsparse::serve

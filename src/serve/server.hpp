@@ -153,13 +153,14 @@ class Server {
 
   GraphCache& cache() { return cache_; }
 
-  /// Process-lifetime counters (monotonic except inflight); the struct
-  /// itself lives in serve/telemetry.hpp.
-  using Telemetry = ServerCounters;
-  Telemetry telemetry() const;
+  /// Jobs running now.
+  std::uint32_t inflight() const {
+    return inflight_count_.load(std::memory_order_relaxed);
+  }
 
-  /// The live telemetry plane: latency histograms, outcome counters,
-  /// the flight recorder, and the Prometheus renderer (DESIGN.md §16).
+  /// The live telemetry plane: latency histograms, the server counters
+  /// (value(ServeCounter)), outcome counters, the flight recorder, and
+  /// the Prometheus renderer (DESIGN.md §16).
   ServeTelemetry& telemetry_plane() { return telemetry_plane_; }
   const ServeTelemetry& telemetry_plane() const { return telemetry_plane_; }
 
@@ -290,17 +291,7 @@ class Server {
   std::deque<std::uint64_t> dedup_lru_;  // kDone tokens, oldest first
 
   std::atomic<std::uint64_t> next_serial_{0};
-  std::atomic<std::uint64_t> connections_{0};
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> budget_clamped_{0};
-  std::atomic<std::uint64_t> tripped_builds_{0};
-  std::atomic<std::uint64_t> cancels_delivered_{0};
-  std::atomic<std::uint64_t> jobs_executed_{0};
-  std::atomic<std::uint64_t> dedup_replays_{0};
-  std::atomic<std::uint64_t> dedup_waits_{0};
-  std::atomic<std::uint64_t> sessions_reaped_{0};
+  /// Admission compares and swaps it against max_inflight.
   std::atomic<std::uint32_t> inflight_count_{0};
 };
 

@@ -2,11 +2,37 @@
 
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <string_view>
 
 namespace matchsparse::serve {
 
 namespace {
+
+/// One row per ServeCounter, in its order: the legacy JSON key (the
+/// exposition's series is matchsparse_serve_<key>_total) and the
+/// exposition's HELP text.
+struct CounterSpec {
+  const char* key;
+  const char* help;
+};
+constexpr CounterSpec kCounterSpecs[] = {
+    {"requests", "Frames dispatched, all types."},
+    {"errors", "Error replies sent."},
+    {"shed", "Jobs refused at the inflight cap."},
+    {"budget_clamped",
+     "Job memory budgets clamped to the unpromised remainder."},
+    {"tripped_builds", "Sparsifier builds stopped by their guard."},
+    {"cancels_delivered", "CANCEL frames that found their target in flight."},
+    {"jobs_executed", "Jobs actually executed (admitted, not deduplicated)."},
+    {"dedup_replays",
+     "Retried idempotency tokens answered from the dedup window."},
+    {"dedup_waits", "Retries that waited out a still-running original."},
+    {"sessions_reaped",
+     "Sessions dropped by the idle/write deadline watchdogs."},
+    {"connections", "Connections accepted over all listeners."},
+};
+static_assert(std::size(kCounterSpecs) == kServeCounters);
 
 /// Slot index of a frame tag: request types in declaration order, the
 /// catch-all last (reply tags and unknown bytes land there too).
@@ -152,6 +178,10 @@ std::string_view family_help(std::string_view family) {
 
 }  // namespace
 
+const char* counter_key(ServeCounter c) {
+  return kCounterSpecs[static_cast<std::size_t>(c)].key;
+}
+
 ServeTelemetry::ServeTelemetry(std::size_t flight_capacity, bool enabled)
     : enabled_(enabled), flight_(flight_capacity) {
   for (std::size_t slot = 0; slot < kFrameSlots; ++slot) {
@@ -186,44 +216,21 @@ void ServeTelemetry::count_cache(bool hit) {
       .add();
 }
 
-std::string ServeTelemetry::prometheus(const ServerCounters& counters,
+std::string ServeTelemetry::prometheus(std::uint32_t inflight,
                                        const GraphCache::Stats& cache,
                                        bool shutting_down) const {
   std::string out;
   out.reserve(1u << 12);
 
-  append_counter(out, "matchsparse_serve_connections_total",
-                 "Connections accepted over all listeners.",
-                 counters.connections);
-  append_counter(out, "matchsparse_serve_requests_total",
-                 "Frames dispatched, all types.", counters.requests);
-  append_counter(out, "matchsparse_serve_errors_total", "Error replies sent.",
-                 counters.errors);
-  append_counter(out, "matchsparse_serve_shed_total",
-                 "Jobs refused at the inflight cap.", counters.shed);
-  append_counter(out, "matchsparse_serve_budget_clamped_total",
-                 "Job memory budgets clamped to the unpromised remainder.",
-                 counters.budget_clamped);
-  append_counter(out, "matchsparse_serve_tripped_builds_total",
-                 "Sparsifier builds stopped by their guard.",
-                 counters.tripped_builds);
-  append_counter(out, "matchsparse_serve_cancels_delivered_total",
-                 "CANCEL frames that found their target in flight.",
-                 counters.cancels_delivered);
-  append_counter(out, "matchsparse_serve_jobs_executed_total",
-                 "Jobs actually executed (admitted, not deduplicated).",
-                 counters.jobs_executed);
-  append_counter(out, "matchsparse_serve_dedup_replays_total",
-                 "Retried idempotency tokens answered from the dedup window.",
-                 counters.dedup_replays);
-  append_counter(out, "matchsparse_serve_dedup_waits_total",
-                 "Retries that waited out a still-running original.",
-                 counters.dedup_waits);
-  append_counter(out, "matchsparse_serve_sessions_reaped_total",
-                 "Sessions dropped by the idle/write deadline watchdogs.",
-                 counters.sessions_reaped);
+  for (std::size_t i = 0; i < kServeCounters; ++i) {
+    append_counter(out,
+                   std::string("matchsparse_serve_") + kCounterSpecs[i].key +
+                       "_total",
+                   kCounterSpecs[i].help,
+                   counters_[i].load(std::memory_order_relaxed));
+  }
   append_gauge(out, "matchsparse_serve_inflight", "Jobs currently running.",
-               counters.inflight);
+               inflight);
   append_gauge(out, "matchsparse_serve_shutting_down",
                "1 while the server is draining.", shutting_down ? 1.0 : 0.0);
 
@@ -286,21 +293,18 @@ std::string ServeTelemetry::prometheus(const ServerCounters& counters,
         append_number(out, m.value);
         out += '\n';
         break;
-      case obs::MetricKind::kHistogram:
       case obs::MetricKind::kBucketHistogram: {
-        if (m.kind == obs::MetricKind::kBucketHistogram) {
-          const struct {
-            const char* q;
-            double v;
-          } quantiles[] = {{"0.5", m.p50},
-                           {"0.9", m.p90},
-                           {"0.95", m.p95},
-                           {"0.99", m.p99}};
-          for (const auto& [q, v] : quantiles) {
-            out += metric + label_set(frame, q) + ' ';
-            append_number(out, v);
-            out += '\n';
-          }
+        const struct {
+          const char* q;
+          double v;
+        } quantiles[] = {{"0.5", m.p50},
+                         {"0.9", m.p90},
+                         {"0.95", m.p95},
+                         {"0.99", m.p99}};
+        for (const auto& [q, v] : quantiles) {
+          out += metric + label_set(frame, q) + ' ';
+          append_number(out, v);
+          out += '\n';
         }
         out += metric + "_sum" + label_set(frame, nullptr) + ' ';
         append_number(out, m.value);

@@ -2,8 +2,9 @@
 //
 // ServeTelemetry is the server-owned half of the observability story:
 // per-frame-type queue-wait / service-time BucketHistograms, the
-// outcome / refusal / cache counters, the always-on flight recorder,
-// and the Prometheus text-exposition renderer behind STATS format=1.
+// daemon's counters (ServeCounter) and outcome / refusal / cache
+// counters, the always-on flight recorder, and the Prometheus
+// text-exposition renderer behind STATS format=1.
 // It aggregates in a server-owned obs::Registry that each request's
 // RunContext registry is folded into at completion, so the exposition
 // carries both the serving-path latency split and the library's own
@@ -13,13 +14,15 @@
 // Cost model: the hot-path write is a handful of relaxed atomic
 // increments (BucketHistogram::observe + a counter or two) — no locks,
 // no allocation — which is what the bench_serve telemetry-overhead
-// section gates at <= 1.05x the telemetry-off p50. The flight recorder
-// is not gated by `enabled` downstream of ServerOptions::telemetry;
-// its ring writes are cheaper still, and an incident is exactly when
-// the operator needs it populated.
+// section gates at <= 1.05x the telemetry-off p50. `enabled` (from
+// ServerOptions::telemetry) gates neither the ServeCounters, which both
+// STATS formats report, nor the flight recorder: its ring writes are
+// cheaper still, and an incident is exactly when the operator needs it
+// populated.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -32,32 +35,36 @@
 
 namespace matchsparse::serve {
 
-/// Process-lifetime server counters (monotonic except inflight). The
-/// struct lives here so the Server and the exposition renderer share
-/// one definition; Server re-exports it as Server::Telemetry.
-struct ServerCounters {
-  std::uint64_t connections = 0;
-  std::uint64_t requests = 0;  // frames dispatched, all types
-  std::uint64_t errors = 0;    // kError replies sent
-  std::uint64_t shed = 0;      // admission refusals (inflight cap)
-  std::uint64_t budget_clamped = 0;
-  std::uint64_t tripped_builds = 0;  // SPARSIFY/MATCH builds that tripped
-  std::uint64_t cancels_delivered = 0;
-  std::uint64_t jobs_executed = 0;   // jobs that actually ran (admitted,
-                                     // not deduplicated)
-  std::uint64_t dedup_replays = 0;   // retried tokens answered from the
-                                     // dedup window without re-executing
-  std::uint64_t dedup_waits = 0;     // retries that waited out a still-
-                                     // running original
-  std::uint64_t sessions_reaped = 0;  // sessions dropped by the idle /
-                                      // write deadline watchdogs
-  std::uint32_t inflight = 0;
+/// The daemon's process-lifetime counters, in the legacy STATS JSON's
+/// order. Both STATS formats read them from ServeTelemetry: the legacy
+/// JSON under counter_key(), the exposition as
+/// matchsparse_serve_<key>_total with a HELP text saying what each one
+/// counts. They sit outside the registry, so they keep counting when
+/// MATCHSPARSE_OBS_ENABLED=0 compiles the registry out.
+enum class ServeCounter : std::uint8_t {
+  kRequests,
+  kErrors,
+  kShed,
+  kBudgetClamped,
+  kTrippedBuilds,
+  kCancelsDelivered,
+  kJobsExecuted,
+  kDedupReplays,
+  kDedupWaits,
+  kSessionsReaped,
+  kConnections,
 };
+inline constexpr std::size_t kServeCounters =
+    static_cast<std::size_t>(ServeCounter::kConnections) + 1;
+
+/// "requests", "errors", ...: the legacy JSON key of `c`.
+const char* counter_key(ServeCounter c);
 
 class ServeTelemetry {
  public:
   /// `flight_capacity` sizes the recorder ring (clamped >= 1);
-  /// `enabled` gates everything except the flight recorder.
+  /// `enabled` gates the histograms and the outcome/refusal/cache
+  /// counters; the ServeCounters and the flight recorder always run.
   ServeTelemetry(std::size_t flight_capacity, bool enabled);
 
   ServeTelemetry(const ServeTelemetry&) = delete;
@@ -67,6 +74,16 @@ class ServeTelemetry {
   obs::Registry& registry() { return registry_; }
   FlightRecorder& flight() { return flight_; }
   const FlightRecorder& flight() const { return flight_; }
+
+  /// One daemon event; counted whatever `enabled` says.
+  void count(ServeCounter c) {
+    counters_[static_cast<std::size_t>(c)].fetch_add(
+        1, std::memory_order_relaxed);
+  }
+  std::uint64_t value(ServeCounter c) const {
+    return counters_[static_cast<std::size_t>(c)].load(
+        std::memory_order_relaxed);
+  }
 
   /// Hot path: one handled frame's queue-wait (bytes-arrived to
   /// dispatched) and service time (dispatched to reply sent), split per
@@ -86,12 +103,13 @@ class ServeTelemetry {
   void record_flight(const FlightRecord& r) { flight_.record(r); }
 
   /// Prometheus text exposition format v0.0.4 of everything the daemon
-  /// knows: the server counters, cache stats, flight-ring state, and
-  /// every instrument of the server-owned registry (BucketHistograms
-  /// render as summaries with quantile labels; the per-frame families
-  /// "serve.queue_ms.*" / "serve.service_ms.*" fold their last name
-  /// segment into a frame="..." label).
-  std::string prometheus(const ServerCounters& counters,
+  /// knows: the ServeCounters, the inflight and draining gauges, cache
+  /// stats, flight-ring state, and every instrument of the server-owned
+  /// registry (BucketHistograms render as summaries with quantile
+  /// labels; the per-frame families "serve.queue_ms.*" /
+  /// "serve.service_ms.*" fold their last name segment into a
+  /// frame="..." label).
+  std::string prometheus(std::uint32_t inflight,
                          const GraphCache::Stats& cache,
                          bool shutting_down) const;
 
@@ -112,6 +130,7 @@ class ServeTelemetry {
   /// its lifetime), so the per-frame hot path never takes the registry
   /// mutex for a name lookup.
   std::array<FrameInstruments, kFrameSlots> frames_{};
+  std::array<std::atomic<std::uint64_t>, kServeCounters> counters_{};
 };
 
 }  // namespace matchsparse::serve

@@ -290,8 +290,8 @@ TEST(ObsMetrics, CounterGaugeHistogramRoundTrip) {
   obs::counter("test.roundtrip.count").add(3);
   obs::counter("test.roundtrip.count").add(4);
   obs::gauge("test.roundtrip.ratio").set(0.75);
-  obs::histogram("test.roundtrip.us").observe(10.0);
-  obs::histogram("test.roundtrip.us").observe(30.0);
+  obs::bucket_histogram("test.roundtrip.us").observe(10.0);
+  obs::bucket_histogram("test.roundtrip.us").observe(30.0);
 
   const obs::MetricsSnapshot snap = obs::metrics_snapshot();
   EXPECT_EQ(snap.counter_value("test.roundtrip.count"), 7u);
@@ -299,9 +299,12 @@ TEST(ObsMetrics, CounterGaugeHistogramRoundTrip) {
   const obs::MetricValue* h = snap.find("test.roundtrip.us");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 2u);
+  EXPECT_DOUBLE_EQ(h->value, 40.0);
   EXPECT_DOUBLE_EQ(h->mean, 20.0);
-  EXPECT_DOUBLE_EQ(h->min, 10.0);
-  EXPECT_DOUBLE_EQ(h->max, 30.0);
+  // min/max are bucket representatives, within the layout's error bound.
+  constexpr double kErr = obs::bucket_layout::kQuantileRelativeError;
+  EXPECT_NEAR(h->min, 10.0, 10.0 * kErr);
+  EXPECT_NEAR(h->max, 30.0, 30.0 * kErr);
   EXPECT_EQ(snap.counter_value("test.roundtrip.never_registered"), 0u);
   EXPECT_TRUE(valid_json(snap.to_json()));
 }
@@ -399,13 +402,11 @@ TEST(ObsMetrics, SnapshotNeverBlocksConcurrentObserves) {
   });
   {
     ThreadPool pool(kThreads);
-    parallel_for(pool, kThreads, [&reg](std::size_t t) {
+    parallel_for(pool, kThreads, [&reg](std::size_t) {
       for (int i = 0; i < kPerThread; ++i) {
         reg.counter("test.contention.calls").add(1);
         reg.bucket_histogram("test.contention.ms")
             .observe(0.1 * static_cast<double>(i % 97 + 1));
-        reg.histogram("test.contention.legacy_ms")
-            .observe(static_cast<double>(t));
       }
     });
   }
@@ -418,9 +419,6 @@ TEST(ObsMetrics, SnapshotNeverBlocksConcurrentObserves) {
   const obs::MetricValue* bucket = snap.find("test.contention.ms");
   ASSERT_NE(bucket, nullptr);
   EXPECT_EQ(bucket->count, expected);
-  const obs::MetricValue* legacy = snap.find("test.contention.legacy_ms");
-  ASSERT_NE(legacy, nullptr);
-  EXPECT_EQ(legacy->count, expected);
 }
 
 #endif  // MATCHSPARSE_OBS_ENABLED

@@ -1,7 +1,7 @@
 // Compile-time-off contract for the observability layer: with
 // MATCHSPARSE_OBS_ENABLED forced to 0 *in this translation unit only*,
 // the obs headers must provide header-only no-ops — empty Span, inert
-// Counter/Gauge/Histogram, a Tracer that exports nothing — so that
+// Counter/Gauge/BucketHistogram, a Tracer that exports nothing — so that
 // instrumented call sites compile to nothing and link without any
 // library symbols. The enabled and disabled APIs live in distinct inline
 // namespaces, which is what lets this TU coexist with test_obs.cpp
@@ -32,8 +32,6 @@ static_assert(std::is_empty_v<obs::Counter>,
               "disabled Counter must carry no members");
 static_assert(std::is_empty_v<obs::Gauge>,
               "disabled Gauge must carry no members");
-static_assert(std::is_empty_v<obs::Histogram>,
-              "disabled Histogram must carry no members");
 static_assert(std::is_empty_v<obs::BucketHistogram>,
               "disabled BucketHistogram must carry no members");
 
@@ -57,9 +55,6 @@ TEST(ObsDisabled, InstrumentsAreInert) {
   obs::Gauge& g = obs::gauge("never.gauged");
   g.set(3.14);
   EXPECT_EQ(g.value(), 0.0);
-  obs::Histogram& h = obs::histogram("never.observed");
-  h.observe(1.0);
-  EXPECT_EQ(h.stats().count(), 0u);
   obs::BucketHistogram& bh = obs::bucket_histogram("never.bucketed");
   bh.observe(1.0);
   bh.merge(obs::HistogramSnapshot{});

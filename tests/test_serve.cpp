@@ -45,6 +45,7 @@ using serve::FrameType;
 using serve::JobRequest;
 using serve::LoadRequest;
 using serve::MatchReply;
+using serve::ServeCounter;
 using serve::Server;
 using serve::ServerOptions;
 
@@ -687,7 +688,7 @@ TEST_F(ServeEndToEnd, CancelTrippedBuildReportsCancelledCacheUntouched) {
   EXPECT_EQ(cancelled->partial, 1);
   EXPECT_TRUE(cancelled->matched.empty());
   EXPECT_EQ(server_->cache().stats().sparsifiers, 0u);
-  EXPECT_GE(server_->telemetry().tripped_builds, 1u);
+  EXPECT_GE(server_->telemetry_plane().value(ServeCounter::kTrippedBuilds), 1u);
 
   const auto clean = c.match(job_of("g"));
   ASSERT_TRUE(clean.has_value());
@@ -809,7 +810,8 @@ TEST_F(ServeEndToEnd, CancelFrameInterruptsAnInflightRequest) {
   if (found && status_of(*victim_rep) == RunStatus::kCancelled) {
     EXPECT_EQ(static_cast<guard::StopReason>(victim_rep->stop_reason),
               guard::StopReason::kCancelled);
-    EXPECT_GE(server_->telemetry().cancels_delivered, 1u);
+    EXPECT_GE(
+        server_->telemetry_plane().value(ServeCounter::kCancelsDelivered), 1u);
   } else {
     // The run outraced the cancel; it must then be a clean full result.
     EXPECT_EQ(status_of(*victim_rep), RunStatus::kOk);
@@ -992,7 +994,7 @@ TEST(ServeOptions, InflightCapShedsConcurrentJobs) {
       serve::encode(FrameType::kPipeline, job_of("big"), 77)));
   bool inflight_seen = false;
   for (int i = 0; i < 20000 && !inflight_seen; ++i) {
-    inflight_seen = server.telemetry().inflight > 0;
+    inflight_seen = server.inflight() > 0;
     if (!inflight_seen) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -1003,7 +1005,7 @@ TEST(ServeOptions, InflightCapShedsConcurrentJobs) {
   const auto probe = prober.match(job_of("small"));
   ASSERT_FALSE(probe.has_value());
   EXPECT_EQ(prober.last_error().code, ErrorCode::kShed);
-  EXPECT_GE(server.telemetry().shed, 1u);
+  EXPECT_GE(server.telemetry_plane().value(ServeCounter::kShed), 1u);
 
   // No need to sit out the multi-second pipeline: the occupier's job is
   // the first admitted on this server, so it carries serial 1 — cancel
@@ -1023,7 +1025,7 @@ TEST(ServeOptions, InflightCapShedsConcurrentJobs) {
   // the session thread releases the slot, so wait for the counter.
   bool slot_free = false;
   for (int i = 0; i < 20000 && !slot_free; ++i) {
-    slot_free = server.telemetry().inflight == 0;
+    slot_free = server.inflight() == 0;
     if (!slot_free) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_TRUE(slot_free) << "occupier never released the inflight slot";

@@ -52,6 +52,7 @@ using serve::LoadRequest;
 using serve::MatchReply;
 using serve::RetryingClient;
 using serve::RetryPolicy;
+using serve::ServeCounter;
 using serve::Server;
 using serve::ServerOptions;
 using serve::Transport;
@@ -219,20 +220,23 @@ TEST(ServeChaos, SurvivorsAreBitIdenticalAndLedgersDrain) {
   // The ledgers drain: no job stays inflight once the storm stops.
   bool drained = false;
   for (int i = 0; i < 20000 && !drained; ++i) {
-    drained = server.telemetry().inflight == 0;
+    drained = server.inflight() == 0;
     if (!drained) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(drained) << "inflight ledger never returned to zero";
 
   // Retries really happened and dedup really replayed — the storm was a
   // storm (with seeded plans this is deterministic enough to assert).
-  const auto t = server.telemetry();
-  EXPECT_GT(t.jobs_executed, 0u);
+  const serve::ServeTelemetry& t = server.telemetry_plane();
+  EXPECT_GT(t.value(ServeCounter::kJobsExecuted), 0u);
   RecordProperty("survivors", static_cast<int>(survivors.load()));
   RecordProperty("giveups", static_cast<int>(giveups.load()));
-  RecordProperty("dedup_replays", static_cast<int>(t.dedup_replays));
-  RecordProperty("dedup_waits", static_cast<int>(t.dedup_waits));
-  RecordProperty("sessions_reaped", static_cast<int>(t.sessions_reaped));
+  RecordProperty("dedup_replays",
+                 static_cast<int>(t.value(ServeCounter::kDedupReplays)));
+  RecordProperty("dedup_waits",
+                 static_cast<int>(t.value(ServeCounter::kDedupWaits)));
+  RecordProperty("sessions_reaped",
+                 static_cast<int>(t.value(ServeCounter::kSessionsReaped)));
 
   // A clean connection still gets a coherent answer, then a clean
   // drain: stop() joining every session thread is itself the session-
@@ -245,7 +249,7 @@ TEST(ServeChaos, SurvivorsAreBitIdenticalAndLedgersDrain) {
   EXPECT_TRUE(fin.shutdown());
   server.wait();
   server.stop();
-  EXPECT_EQ(server.telemetry().inflight, 0u);
+  EXPECT_EQ(server.inflight(), 0u);
 }
 
 }  // namespace

@@ -46,6 +46,7 @@ using serve::JobRequest;
 using serve::LoadRequest;
 using serve::RetryingClient;
 using serve::RetryPolicy;
+using serve::ServeCounter;
 using serve::Server;
 using serve::ServerOptions;
 using serve::TransportFaultPlan;
@@ -173,7 +174,7 @@ TEST_F(ServeDedup, RetriedTokenReplaysInsteadOfReexecuting) {
   job.client_token = 42;
   const auto first = c.match(job);
   ASSERT_TRUE(first.has_value()) << c.last_error().message;
-  EXPECT_EQ(server_->telemetry().jobs_executed, 1u);
+  EXPECT_EQ(server_->telemetry_plane().value(ServeCounter::kJobsExecuted), 1u);
 
   // Same token again — even from a different connection — is a replay
   // of the stored reply, not a second execution (a cache hit would also
@@ -181,8 +182,8 @@ TEST_F(ServeDedup, RetriedTokenReplaysInsteadOfReexecuting) {
   Client retry = client();
   const auto second = retry.match(job);
   ASSERT_TRUE(second.has_value()) << retry.last_error().message;
-  EXPECT_EQ(server_->telemetry().jobs_executed, 1u);
-  EXPECT_EQ(server_->telemetry().dedup_replays, 1u);
+  EXPECT_EQ(server_->telemetry_plane().value(ServeCounter::kJobsExecuted), 1u);
+  EXPECT_EQ(server_->telemetry_plane().value(ServeCounter::kDedupReplays), 1u);
   EXPECT_EQ(serve::divergence(serve::signature_of(*first),
                               serve::signature_of(*second)),
             "");
@@ -222,9 +223,11 @@ TEST_F(ServeDedup, ConcurrentSameTokenOnTwoConnectionsExecutesOnce) {
                               serve::signature_of(*rb)),
             "");
 
-  const auto t = server_->telemetry();
-  EXPECT_EQ(t.jobs_executed, 1u);
-  EXPECT_GE(t.dedup_waits + t.dedup_replays, 1u);
+  const serve::ServeTelemetry& t = server_->telemetry_plane();
+  EXPECT_EQ(t.value(ServeCounter::kJobsExecuted), 1u);
+  EXPECT_GE(t.value(ServeCounter::kDedupWaits) +
+                t.value(ServeCounter::kDedupReplays),
+            1u);
 }
 
 TEST_F(ServeDedup, RefusedAttemptAbortsTheTokenSoARetryStartsFresh) {
@@ -235,12 +238,12 @@ TEST_F(ServeDedup, RefusedAttemptAbortsTheTokenSoARetryStartsFresh) {
   // token entry must not pin that refusal.
   EXPECT_FALSE(c.match(job).has_value());
   EXPECT_EQ(c.last_error().code, ErrorCode::kUnknownGraph);
-  EXPECT_EQ(server_->telemetry().jobs_executed, 0u);
+  EXPECT_EQ(server_->telemetry_plane().value(ServeCounter::kJobsExecuted), 0u);
 
   ASSERT_TRUE(c.load(load_of("nope", disk_graph(300, 0xd3))).has_value());
   const auto rep = c.match(job);
   ASSERT_TRUE(rep.has_value()) << c.last_error().message;
-  EXPECT_EQ(server_->telemetry().jobs_executed, 1u);
+  EXPECT_EQ(server_->telemetry_plane().value(ServeCounter::kJobsExecuted), 1u);
 }
 
 TEST(ServeDedupWindow, EvictsLeastRecentlyCompletedToken) {
@@ -257,19 +260,19 @@ TEST(ServeDedupWindow, EvictsLeastRecentlyCompletedToken) {
     job.client_token = token;
     ASSERT_TRUE(c.match(job).has_value());
   }
-  EXPECT_EQ(server.telemetry().jobs_executed, 3u);
+  EXPECT_EQ(server.telemetry_plane().value(ServeCounter::kJobsExecuted), 3u);
 
   // Token 1 fell out of the two-deep window: it executes again. Token 3
   // is still resident: replayed.
   JobRequest again1 = job_of("g", 1);
   again1.client_token = 1;
   ASSERT_TRUE(c.match(again1).has_value());
-  EXPECT_EQ(server.telemetry().jobs_executed, 4u);
+  EXPECT_EQ(server.telemetry_plane().value(ServeCounter::kJobsExecuted), 4u);
   JobRequest again3 = job_of("g", 3);
   again3.client_token = 3;
   ASSERT_TRUE(c.match(again3).has_value());
-  EXPECT_EQ(server.telemetry().jobs_executed, 4u);
-  EXPECT_EQ(server.telemetry().dedup_replays, 1u);
+  EXPECT_EQ(server.telemetry_plane().value(ServeCounter::kJobsExecuted), 4u);
+  EXPECT_EQ(server.telemetry_plane().value(ServeCounter::kDedupReplays), 1u);
 }
 
 TEST(ServeDedupWindow, ZeroWindowDisablesTokensEntirely) {
@@ -284,8 +287,8 @@ TEST(ServeDedupWindow, ZeroWindowDisablesTokensEntirely) {
   job.client_token = 5;
   ASSERT_TRUE(c.match(job).has_value());
   ASSERT_TRUE(c.match(job).has_value());
-  EXPECT_EQ(server.telemetry().jobs_executed, 2u);
-  EXPECT_EQ(server.telemetry().dedup_replays, 0u);
+  EXPECT_EQ(server.telemetry_plane().value(ServeCounter::kJobsExecuted), 2u);
+  EXPECT_EQ(server.telemetry_plane().value(ServeCounter::kDedupReplays), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -331,8 +334,8 @@ TEST(ServeRetryingClient, ReconnectsAfterMidReplyResetAndGetsAReplayNotARerun) {
 
   // The first attempt executed the job and published the reply before
   // the cut; the retry on the fresh connection replayed it.
-  EXPECT_EQ(server.telemetry().jobs_executed, 1u);
-  EXPECT_EQ(server.telemetry().dedup_replays, 1u);
+  EXPECT_EQ(server.telemetry_plane().value(ServeCounter::kJobsExecuted), 1u);
+  EXPECT_EQ(server.telemetry_plane().value(ServeCounter::kDedupReplays), 1u);
   EXPECT_EQ(rc.retry_stats().attempts, 2u);
   EXPECT_EQ(rc.retry_stats().retries, 1u);
   EXPECT_EQ(rc.retry_stats().reconnects, 2u);
@@ -367,7 +370,7 @@ TEST(ServeRetryingClient, ShedIsRetriedAndTheBackoffHonorsTheServerHint) {
       serve::encode(FrameType::kPipeline, job_of("big"), 77)));
   bool inflight_seen = false;
   for (int i = 0; i < 20000 && !inflight_seen; ++i) {
-    inflight_seen = server.telemetry().inflight > 0;
+    inflight_seen = server.inflight() > 0;
     if (!inflight_seen) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -442,7 +445,7 @@ TEST(ServeReaper, SilentSessionsAreReapedOnTheIdleDeadline) {
   ASSERT_TRUE(idle.valid());
   bool reaped = false;
   for (int i = 0; i < 20000 && !reaped; ++i) {
-    reaped = server.telemetry().sessions_reaped >= 1;
+    reaped = server.telemetry_plane().value(ServeCounter::kSessionsReaped) >= 1;
     if (!reaped) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(reaped) << "idle session was never reaped";

@@ -239,6 +239,56 @@ class TelemetryEndToEnd : public ::testing::Test {
     return req;
   }
 
+  /// Moves `errors`, `requests` and `jobs_executed` on a fresh server,
+  /// then reads every server counter in both STATS formats.
+  void expect_both_stats_formats_agree() {
+    Client c = client();
+    Frame bad;  // a STATS frame with an unknown format byte
+    bad.type = static_cast<std::uint8_t>(FrameType::kStats);
+    bad.request_id = 1;
+    bad.payload = {0x09};
+    ASSERT_TRUE(c.send_frame(bad));
+    ASSERT_TRUE(c.recv_frame().has_value());
+    EXPECT_FALSE(c.match(job_of("absent")).has_value());
+    ASSERT_TRUE(c.load(load_of("g", test_graph(0x5e7))).has_value());
+    ASSERT_TRUE(c.match(job_of("g")).has_value());
+
+    const auto json = c.stats();
+    ASSERT_TRUE(json.has_value());
+    const auto prom = c.stats_prometheus();
+    ASSERT_TRUE(prom.has_value());
+    const auto json_value = [&json](const std::string& key) {
+      const std::string field = "\"" + key + "\":";
+      const std::size_t pos = json->json.find(field);
+      EXPECT_NE(pos, std::string::npos) << key;
+      if (pos == std::string::npos) return ~0ull;
+      return std::strtoull(json->json.c_str() + pos + field.size(), nullptr,
+                           10);
+    };
+    const auto prom_value = [&prom](const std::string& series) {
+      const std::string line = "\n" + series + " ";
+      const std::size_t pos = prom->find(line);
+      EXPECT_NE(pos, std::string::npos) << series;
+      if (pos == std::string::npos) return ~0ull;
+      return std::strtoull(prom->c_str() + pos + line.size(), nullptr, 10);
+    };
+    EXPECT_EQ(json_value("errors"), 2u);
+    EXPECT_EQ(json_value("jobs_executed"), 1u);
+    EXPECT_EQ(json_value("requests"), 5u);
+    for (const std::string key :
+         {"requests", "errors", "shed", "budget_clamped", "tripped_builds",
+          "cancels_delivered", "jobs_executed", "dedup_replays",
+          "dedup_waits", "sessions_reaped", "connections"}) {
+      // The scrape is the next frame, so it has counted itself.
+      const std::uint64_t scraped = key == "requests" ? 1 : 0;
+      EXPECT_EQ(prom_value("matchsparse_serve_" + key + "_total"),
+                json_value(key) + scraped)
+          << key;
+    }
+    EXPECT_EQ(prom_value("matchsparse_serve_inflight"),
+              json_value("inflight"));
+  }
+
   std::unique_ptr<Server> server_;
 };
 
@@ -387,6 +437,17 @@ TEST_F(TelemetryEndToEnd, PrometheusExpositionIsWellFormedAndOrdered) {
     (void)std::strtod(line.c_str() + sp + 1, &end);
     EXPECT_EQ(*end, '\0') << line;
   }
+}
+
+TEST_F(TelemetryEndToEnd, BothStatsFormatsReadTheSameServerCounters) {
+  expect_both_stats_formats_agree();
+}
+
+TEST_F(TelemetryEndToEnd, ServerCountersCountWithTelemetryOff) {
+  ServerOptions o = options();
+  o.telemetry = false;
+  start(o);  // replaces the SetUp server
+  expect_both_stats_formats_agree();
 }
 
 TEST_F(TelemetryEndToEnd, FlightDumpOverTheWireHoldsTheJobs) {

@@ -113,7 +113,9 @@ std::vector<std::string> corpus_files(const std::string& dir) {
 
 /// Per-property soak summary, read back from the metrics registry the
 /// runner populated ("check.<property>.{pass,fail,skip,micros}"). Only
-/// properties that actually ran get a row.
+/// properties that actually ran get a row. "total ms" and "mean us" are
+/// exact; "~max us" is the top histogram bucket's representative, within
+/// bucket_layout::kQuantileRelativeError (1/16) of the true maximum.
 void print_property_table(const obs::MetricsSnapshot& snap) {
   bool header = false;
   for (const check::Property& p : check::all_properties()) {
@@ -124,7 +126,7 @@ void print_property_table(const obs::MetricsSnapshot& snap) {
     if (pass + fail + skip == 0) continue;
     if (!header) {
       std::printf("%-40s %7s %6s %5s %10s %10s %10s\n", "property", "cells",
-                  "pass", "fail", "total ms", "mean us", "max us");
+                  "pass", "fail", "total ms", "mean us", "~max us");
       header = true;
     }
     const obs::MetricValue* h = snap.find(prefix + ".micros");

@@ -62,6 +62,7 @@ namespace {
 
 using matchsparse::parse_bytes;
 using matchsparse::parse_u64;
+using matchsparse::serve::ServeCounter;
 using matchsparse::serve::Server;
 using matchsparse::serve::ServerOptions;
 
@@ -246,15 +247,14 @@ int main(int argc, char** argv) {
   signal_thread.join();
   server.stop();
 
-  const Server::Telemetry t = server.telemetry();
+  const auto n = [&server](ServeCounter c) {
+    return static_cast<unsigned long long>(server.telemetry_plane().value(c));
+  };
   std::printf("served %llu requests (%llu errors, %llu shed, %llu cancelled, "
               "%llu replayed, %llu reaped) over %llu connections\n",
-              static_cast<unsigned long long>(t.requests),
-              static_cast<unsigned long long>(t.errors),
-              static_cast<unsigned long long>(t.shed),
-              static_cast<unsigned long long>(t.cancels_delivered),
-              static_cast<unsigned long long>(t.dedup_replays),
-              static_cast<unsigned long long>(t.sessions_reaped),
-              static_cast<unsigned long long>(t.connections));
+              n(ServeCounter::kRequests), n(ServeCounter::kErrors),
+              n(ServeCounter::kShed), n(ServeCounter::kCancelsDelivered),
+              n(ServeCounter::kDedupReplays), n(ServeCounter::kSessionsReaped),
+              n(ServeCounter::kConnections));
   return 0;
 }
