@@ -11,6 +11,7 @@
 #include "matching/blossom.hpp"
 #include "matching/bounded_aug.hpp"
 #include "obs/manifest.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -53,12 +54,7 @@ class JsonRow {
  public:
   JsonRow& str(const char* key, const std::string& value) {
     open(key);
-    out_ += '"';
-    for (char c : value) {
-      if (c == '"' || c == '\\') out_ += '\\';
-      out_ += c;
-    }
-    out_ += '"';
+    append_json_string(out_, value);
     return *this;
   }
   JsonRow& num(const char* key, double value, int precision = 6) {

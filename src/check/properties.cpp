@@ -825,7 +825,6 @@ Result prop_serve_request_isolation(const Graph& g,
   serve::ServerOptions opts;
   opts.cache_bytes = 64ull << 20;
   opts.max_inflight = 0;  // admission shedding is not under test here
-  opts.publish_request_metrics = false;
   serve::Server server(opts);
   std::string err;
   if (!server.start(&err)) {

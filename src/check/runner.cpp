@@ -7,36 +7,13 @@
 #include "check/shrink.hpp"
 #include "obs/metrics.hpp"
 #include "util/common.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace matchsparse::check {
 
 namespace {
-
-/// Minimal JSON string escaping for the ndjson log (our messages only
-/// ever need quotes, backslashes and control characters handled).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 const char* status_suffix(PropertyResult::Status s) {
   switch (s) {
@@ -63,13 +40,13 @@ void log_cell(std::FILE* log, const std::string& source,
   if (log == nullptr) return;
   std::fprintf(
       log,
-      "{\"event\":\"cell\",\"source\":\"%s\",\"case\":\"%s\","
+      "{\"event\":\"cell\",\"source\":\"%s\",\"case\":%s,"
       "\"property\":\"%s\",\"n\":%u,\"m\":%llu,\"config\":\"%s\","
-      "\"status\":\"%s\",\"micros\":%.0f,\"message\":\"%s\"}\n",
-      source.c_str(), json_escape(case_name).c_str(), property.c_str(),
+      "\"status\":\"%s\",\"micros\":%.0f,\"message\":%s}\n",
+      source.c_str(), json_string(case_name).c_str(), property.c_str(),
       g.num_vertices(), static_cast<unsigned long long>(g.num_edges()),
       cfg.to_string().c_str(), status_name(result.status), micros,
-      json_escape(result.message).c_str());
+      json_string(result.message).c_str());
 }
 
 void count_result(const PropertyResult& r, FuzzStats* stats) {
@@ -206,12 +183,12 @@ FuzzStats run_fuzz(const FuzzOptions& opt) {
         if (opt.log != nullptr) {
           std::fprintf(opt.log,
                        "{\"event\":\"counterexample\",\"property\":\"%s\","
-                       "\"path\":\"%s\",\"n\":%u,\"m\":%llu,"
-                       "\"message\":\"%s\"}\n",
-                       p->name.c_str(), json_escape(path).c_str(),
+                       "\"path\":%s,\"n\":%u,\"m\":%llu,"
+                       "\"message\":%s}\n",
+                       p->name.c_str(), json_string(path).c_str(),
                        cex.graph.num_vertices(),
                        static_cast<unsigned long long>(cex.graph.num_edges()),
-                       json_escape(cex.message).c_str());
+                       json_string(cex.message).c_str());
         }
       }
       stats.counterexamples.push_back(std::move(cex));

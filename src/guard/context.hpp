@@ -76,7 +76,8 @@ class RunContext {
 
   /// Opt out of the destructor's publish() — isolation tests and the
   /// bench harness use this to keep scratch requests out of the global
-  /// registry.
+  /// registry, and the serve daemon because it folds every request into
+  /// its own telemetry registry instead.
   void set_publish_on_destroy(bool on) { publish_on_destroy_ = on; }
 
  private:

@@ -62,8 +62,6 @@ void HistogramSnapshot::merge(const HistogramSnapshot& other) {
   sum += other.sum;
 }
 
-#if MATCHSPARSE_OBS_ENABLED
-
 HistogramSnapshot BucketHistogram::snapshot() const {
   HistogramSnapshot snap;
   snap.buckets.resize(bucket_layout::kSlots, 0);
@@ -91,12 +89,5 @@ void BucketHistogram::merge(const HistogramSnapshot& other) {
                                      std::memory_order_relaxed)) {
   }
 }
-
-void BucketHistogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
-#endif  // MATCHSPARSE_OBS_ENABLED
 
 }  // namespace matchsparse::obs

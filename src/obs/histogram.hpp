@@ -17,8 +17,7 @@
 //               what lets per-request registries fold into a server-
 //               owned one without ordering the requests.
 //
-// Bucket layout (shared by the enabled and disabled APIs through the
-// ungated bucket_layout namespace): each power-of-two octave
+// Bucket layout (the bucket_layout namespace): each power-of-two octave
 // [2^e, 2^{e+1}) is split into kSubBuckets linear sub-buckets, HdrHistogram
 // style — the sub-bucket of a positive double is just the top mantissa
 // bits, so indexing is a handful of integer ops on the bit pattern.
@@ -37,10 +36,6 @@
 // midpoint >= lo·17/16). Underflow/overflow samples report the bucket
 // edge instead and carry no relative-error guarantee (they are outside
 // the representable range by definition).
-//
-// Compile-time gating: with MATCHSPARSE_OBS_ENABLED=0 the enabled class
-// is replaced by an empty inline no-op (static_assert(is_empty_v) in
-// the disabled-TU test), same contract as Counter/Gauge.
 #pragma once
 
 #include <array>
@@ -50,10 +45,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#ifndef MATCHSPARSE_OBS_ENABLED
-#define MATCHSPARSE_OBS_ENABLED 1
-#endif
 
 namespace matchsparse::obs {
 
@@ -113,10 +104,10 @@ double representative(std::size_t slot);
 
 /// A point-in-time copy of a BucketHistogram: plain integers, safe to
 /// pass around, merge, and query without touching the live instrument.
-/// Default-constructed (and disabled-build) snapshots are empty.
+/// Default-constructed snapshots are empty.
 struct HistogramSnapshot {
-  /// Either empty (no samples ever recorded / disabled build) or
-  /// exactly bucket_layout::kSlots entries.
+  /// Either empty (no samples ever recorded) or exactly
+  /// bucket_layout::kSlots entries.
   std::vector<std::uint64_t> buckets;
   std::uint64_t total = 0;
   double sum = 0.0;
@@ -138,10 +129,6 @@ struct HistogramSnapshot {
   friend bool operator==(const HistogramSnapshot&,
                          const HistogramSnapshot&) = default;
 };
-
-#if MATCHSPARSE_OBS_ENABLED
-
-inline namespace enabled {
 
 class BucketHistogram {
  public:
@@ -170,31 +157,9 @@ class BucketHistogram {
   void merge(const HistogramSnapshot& other);
   void merge(const BucketHistogram& other) { merge(other.snapshot()); }
 
-  /// Zeroes the buckets (test plumbing, like Registry::reset_all —
-  /// production code never resets: scrape deltas rely on monotonicity).
-  void reset();
-
  private:
   std::array<std::atomic<std::uint64_t>, bucket_layout::kSlots> buckets_{};
   std::atomic<double> sum_{0.0};
 };
-
-}  // namespace enabled
-
-#else  // MATCHSPARSE_OBS_ENABLED == 0
-
-inline namespace disabled {
-
-struct BucketHistogram {
-  void observe(double) {}
-  HistogramSnapshot snapshot() const { return {}; }
-  void merge(const HistogramSnapshot&) {}
-  void merge(const BucketHistogram&) {}
-  void reset() {}
-};
-
-}  // namespace disabled
-
-#endif  // MATCHSPARSE_OBS_ENABLED
 
 }  // namespace matchsparse::obs

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "obs/trace.hpp"
+#include "util/json.hpp"
 
 #ifndef MATCHSPARSE_GIT_DESCRIBE
 #define MATCHSPARSE_GIT_DESCRIBE "unknown"
@@ -10,42 +11,15 @@
 
 namespace matchsparse::obs {
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
-
 const char* git_describe() { return MATCHSPARSE_GIT_DESCRIBE; }
 
 std::string run_manifest_json(const RunManifest& m) {
   std::string out = "{\"tool\":";
-  append_escaped(out, m.tool);
+  append_json_string(out, m.tool);
   out += ",\"git\":";
-  append_escaped(out, git_describe());
-  out += ",\"obs_enabled\":";
-  out += MATCHSPARSE_OBS_ENABLED ? "true" : "false";
+  append_json_string(out, git_describe());
   out += ",\"config\":";
-  append_escaped(out, m.config);
+  append_json_string(out, m.config);
   out += ",\"seed\":" + std::to_string(m.seed);
   out += ",\"threads\":" + std::to_string(m.threads);
   // Ambient resolution (§14): inside a RunContext scope this emits the

@@ -5,9 +5,8 @@
 //
 // The manifest is the file behind `matchsparse_cli --metrics=<file>`;
 // bench_common.hpp stamps the same git/thread fields into every
-// BENCH_*.json row. Manifest writing is not compile-time gated: with
-// observability compiled out it still emits the identity fields, just
-// with an empty metrics/spans section.
+// BENCH_*.json row. Keys, in order: tool, git, config, seed, threads,
+// metrics, spans.
 #pragma once
 
 #include <cstdint>

@@ -9,31 +9,11 @@
 
 #include "util/ambient.hpp"
 #include "util/common.hpp"
+#include "util/json.hpp"
 
 namespace matchsparse::obs {
 
 namespace {
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 void append_json_number(std::string& out, double v) {
   char buf[64];
@@ -99,8 +79,6 @@ std::string MetricsSnapshot::to_json() const {
   return out;
 }
 
-#if MATCHSPARSE_OBS_ENABLED
-
 /// std::map keeps iteration sorted by name (snapshot determinism) and
 /// never invalidates element addresses, so returned references are
 /// stable for the process lifetime.
@@ -134,10 +112,6 @@ Registry& Registry::instance() {
   return *registry;
 }
 
-// Definitions must live in the inline namespace explicitly: a plain
-// obs-level definition would declare a distinct, ambiguous sibling.
-inline namespace enabled {
-
 Registry* ambient_registry() {
   return static_cast<Registry*>(ambient::get(ambient::kMetricsSlot));
 }
@@ -146,8 +120,6 @@ Registry& resolve_registry() {
   Registry* r = ambient_registry();
   return r != nullptr ? *r : Registry::instance();
 }
-
-}  // namespace enabled
 
 ScopedMetricsRegistry::ScopedMetricsRegistry(Registry& r)
     : previous_(static_cast<Registry*>(
@@ -298,14 +270,5 @@ MetricsSnapshot Registry::snapshot() const {
             });
   return snap;
 }
-
-void Registry::reset_all() {
-  const std::lock_guard<std::mutex> lock(state_->mutex);
-  for (auto& [name, counter] : state_->counters) counter.reset();
-  for (auto& [name, gauge] : state_->gauges) gauge.reset();
-  for (auto& [name, histogram] : state_->bucket_histograms) histogram.reset();
-}
-
-#endif  // MATCHSPARSE_OBS_ENABLED
 
 }  // namespace matchsparse::obs

@@ -34,14 +34,6 @@
 // via merge_into() (counters/histograms add, gauges last-write-wins,
 // deterministic name order), which is what keeps aggregate exports and
 // the run manifest unchanged after the request-scoping refactor.
-//
-// Compile-time gating: building with MATCHSPARSE_OBS_ENABLED=0 (CMake
-// option MATCHSPARSE_OBS=OFF) swaps every type in this header for an
-// empty inline no-op, so instrumented call sites compile to nothing —
-// no registry symbols, no atomics, no locks. The enabled and disabled
-// APIs live in distinct inline namespaces, so translation units built
-// with different settings can coexist in one binary (the unit tests use
-// this to assert the disabled API is empty).
 #pragma once
 
 #include <atomic>
@@ -52,10 +44,6 @@
 #include <vector>
 
 #include "obs/histogram.hpp"
-
-#ifndef MATCHSPARSE_OBS_ENABLED
-#define MATCHSPARSE_OBS_ENABLED 1
-#endif
 
 namespace matchsparse::obs {
 
@@ -94,10 +82,6 @@ struct MetricsSnapshot {
   std::string to_json() const;
 };
 
-#if MATCHSPARSE_OBS_ENABLED
-
-inline namespace enabled {
-
 class Counter {
  public:
   void add(std::uint64_t n = 1) {
@@ -106,7 +90,6 @@ class Counter {
   std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -116,7 +99,6 @@ class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
   double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { set(0.0); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -154,10 +136,6 @@ class Registry {
   /// sequence is deterministic. Used by RunContext to publish a
   /// request's metrics into the global registry exactly once.
   void merge_into(Registry& target) const;
-
-  /// Zeroes every registered instrument (names stay registered). Test
-  /// plumbing: production code never resets.
-  void reset_all();
 
  private:
   struct State;
@@ -197,70 +175,5 @@ inline BucketHistogram& bucket_histogram(std::string_view name) {
 inline MetricsSnapshot metrics_snapshot() {
   return resolve_registry().snapshot();
 }
-
-}  // namespace enabled
-
-#else  // MATCHSPARSE_OBS_ENABLED == 0: header-only no-ops, no symbols.
-
-inline namespace disabled {
-
-struct Counter {
-  void add(std::uint64_t = 1) {}
-  std::uint64_t value() const { return 0; }
-  void reset() {}
-};
-
-struct Gauge {
-  void set(double) {}
-  double value() const { return 0.0; }
-  void reset() {}
-};
-
-struct Registry {
-  static Registry& instance() {
-    static Registry r;
-    return r;
-  }
-  Counter& counter(std::string_view) {
-    static Counter c;
-    return c;
-  }
-  Gauge& gauge(std::string_view) {
-    static Gauge g;
-    return g;
-  }
-  BucketHistogram& bucket_histogram(std::string_view) {
-    static BucketHistogram h;
-    return h;
-  }
-  MetricsSnapshot snapshot() const { return {}; }
-  void merge_into(Registry&) const {}
-  void reset_all() {}
-};
-
-inline Registry* ambient_registry() { return nullptr; }
-inline Registry& resolve_registry() { return Registry::instance(); }
-
-struct ScopedMetricsRegistry {
-  explicit ScopedMetricsRegistry(Registry&) {}
-};
-
-inline Counter& counter(std::string_view) {
-  static Counter c;
-  return c;
-}
-inline Gauge& gauge(std::string_view) {
-  static Gauge g;
-  return g;
-}
-inline BucketHistogram& bucket_histogram(std::string_view) {
-  static BucketHistogram h;
-  return h;
-}
-inline MetricsSnapshot metrics_snapshot() { return {}; }
-
-}  // namespace disabled
-
-#endif  // MATCHSPARSE_OBS_ENABLED
 
 }  // namespace matchsparse::obs

@@ -6,10 +6,9 @@
 #include <map>
 
 #include "util/ambient.hpp"
+#include "util/json.hpp"
 
 namespace matchsparse::obs {
-
-#if MATCHSPARSE_OBS_ENABLED
 
 namespace {
 
@@ -32,27 +31,6 @@ std::uint32_t current_tid() {
 /// Per-thread span nesting depth. Only spans that were active at
 /// construction touch it, so enable/disable races cannot unbalance it.
 thread_local std::uint32_t t_depth = 0;
-
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 bool write_file(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -116,7 +94,7 @@ std::string Tracer::write_chrome() const {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":";
-    append_escaped(out, ev.name);
+    append_json_string(out, ev.name);
     out += ",\"cat\":\"matchsparse\",\"ph\":\"X\",\"pid\":1,\"tid\":" +
            std::to_string(ev.tid) + ",\"ts\":" + std::to_string(ev.ts_us) +
            ",\"dur\":" + std::to_string(ev.dur_us) +
@@ -130,7 +108,7 @@ std::string Tracer::write_ndjson() const {
   std::string out;
   for (const TraceEvent& ev : events()) {
     out += "{\"name\":";
-    append_escaped(out, ev.name);
+    append_json_string(out, ev.name);
     out += ",\"tid\":" + std::to_string(ev.tid) +
            ",\"ts_us\":" + std::to_string(ev.ts_us) +
            ",\"dur_us\":" + std::to_string(ev.dur_us) +
@@ -157,7 +135,7 @@ std::string Tracer::span_summary_json() const {
   for (const auto& [name, a] : by_name) {
     if (!first) out += ',';
     first = false;
-    append_escaped(out, name);
+    append_json_string(out, name);
     out += ":{\"count\":" + std::to_string(a.count) +
            ",\"total_us\":" + std::to_string(a.total_us) +
            ",\"max_us\":" + std::to_string(a.max_us) + "}";
@@ -170,14 +148,6 @@ bool Tracer::export_chrome(const std::string& path) const {
   return write_file(path, write_chrome());
 }
 
-bool Tracer::export_ndjson(const std::string& path) const {
-  return write_file(path, write_ndjson());
-}
-
-// Definitions must live in the inline namespace explicitly: a plain
-// obs-level definition would declare a distinct, ambiguous sibling.
-inline namespace enabled {
-
 Tracer* ambient_tracer() {
   return static_cast<Tracer*>(ambient::get(ambient::kTraceSlot));
 }
@@ -186,8 +156,6 @@ Tracer& resolve_tracer() {
   Tracer* t = ambient_tracer();
   return t != nullptr ? *t : Tracer::instance();
 }
-
-}  // namespace enabled
 
 ScopedTracer::ScopedTracer(Tracer& t)
     : previous_(
@@ -222,7 +190,5 @@ Span::~Span() {
   ev.depth = depth_;
   tracer.record(std::move(ev));
 }
-
-#endif  // MATCHSPARSE_OBS_ENABLED
 
 }  // namespace matchsparse::obs

@@ -21,22 +21,14 @@
 //   write_ndjson()  — one JSON object per line, greppable.
 //   span_summary_json() — per-name {count, total_us, max_us} aggregate,
 //                     embedded in the run manifest (manifest.hpp).
-//
-// Compile-time gating matches metrics.hpp: MATCHSPARSE_OBS_ENABLED=0
-// turns Span into an empty struct and the Tracer into inline no-ops.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <fstream>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef MATCHSPARSE_OBS_ENABLED
-#define MATCHSPARSE_OBS_ENABLED 1
-#endif
 
 namespace matchsparse::obs {
 
@@ -50,10 +42,6 @@ struct TraceEvent {
   std::uint64_t dur_us = 0; // span duration
   std::uint32_t depth = 0;  // nesting depth at begin (0 = top level)
 };
-
-#if MATCHSPARSE_OBS_ENABLED
-
-inline namespace enabled {
 
 class Tracer {
  public:
@@ -88,7 +76,6 @@ class Tracer {
 
   /// Writes write_chrome() to `path`; false on I/O failure.
   bool export_chrome(const std::string& path) const;
-  bool export_ndjson(const std::string& path) const;
 
  private:
   friend class Span;
@@ -136,54 +123,5 @@ class Span {
   std::uint32_t depth_ = 0;
   bool active_ = false;
 };
-
-}  // namespace enabled
-
-#else  // MATCHSPARSE_OBS_ENABLED == 0
-
-inline namespace disabled {
-
-class Tracer {
- public:
-  Tracer() = default;
-  static Tracer& instance() {
-    static Tracer t;
-    return t;
-  }
-  void set_enabled(bool) {}
-  bool is_enabled() const { return false; }
-  void clear() {}
-  std::vector<TraceEvent> events() const { return {}; }
-  std::string write_chrome() const { return "{\"traceEvents\":[]}"; }
-  std::string write_ndjson() const { return ""; }
-  std::string span_summary_json() const { return "{}"; }
-  // Exports still succeed so --trace degrades to an empty (but valid)
-  // file instead of an error in OBS=OFF builds.
-  bool export_chrome(const std::string& path) const {
-    std::ofstream out(path);
-    if (!out) return false;
-    out << write_chrome() << '\n';
-    return static_cast<bool>(out);
-  }
-  bool export_ndjson(const std::string& path) const {
-    std::ofstream out(path);
-    return static_cast<bool>(out);
-  }
-};
-
-inline Tracer* ambient_tracer() { return nullptr; }
-inline Tracer& resolve_tracer() { return Tracer::instance(); }
-
-struct ScopedTracer {
-  explicit ScopedTracer(Tracer&) {}
-};
-
-struct Span {
-  explicit Span(std::string_view) {}
-};
-
-}  // namespace disabled
-
-#endif  // MATCHSPARSE_OBS_ENABLED
 
 }  // namespace matchsparse::obs

@@ -602,7 +602,9 @@ bool Server::handle_job_impl(Transport& t, const Frame& f, FlightRecord* rec) {
   rec->serial = serial;
   telemetry_plane_.count(ServeCounter::kJobsExecuted);
   guard::RunContext ctx("serve.req-" + std::to_string(serial));
-  ctx.set_publish_on_destroy(opts_.publish_request_metrics);
+  // The job's metrics fold into telemetry_plane_.registry() below, not
+  // into the process-global registry, which nothing in the daemon reads.
+  ctx.set_publish_on_destroy(false);
   if (!opts_.trace_prefix.empty()) ctx.tracer().set_enabled(true);
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
@@ -658,9 +660,9 @@ bool Server::handle_job_impl(Transport& t, const Frame& f, FlightRecord* rec) {
   }
   return_budget(granted);
   inflight_count_.fetch_sub(1, std::memory_order_relaxed);
-  // The serving plane keeps its own aggregate of every request's
-  // library instruments (ladder rungs, guard polls, sparsify marks),
-  // independent of whether the process-global registry gets them.
+  // The serving plane keeps the daemon's one aggregate of every
+  // request's library instruments (ladder rungs, guard polls, sparsify
+  // marks).
   if (telemetry_plane_.enabled()) {
     ctx.metrics().merge_into(telemetry_plane_.registry());
   }

@@ -14,7 +14,9 @@
 // runs inside its own guard::RunContext, so per-request metrics, traces
 // and guard trips never bleed between concurrent connections; the
 // request's QoS envelope (deadline / memory budget / degradation mode)
-// comes from the frame itself.
+// comes from the frame itself. A finished request's metrics fold into
+// the telemetry plane's registry (serve/telemetry.hpp), the one
+// aggregate STATS reads, and never into the process-global registry.
 //
 // Admission control:
 //   - at most `max_inflight` jobs run concurrently; the next one is
@@ -82,9 +84,6 @@ struct ServerOptions {
   /// When non-empty, per-request Chrome traces go to
   /// "<trace_prefix>.req<serial>.json".
   std::string trace_prefix;
-  /// Fold each request's registry into the global one on completion
-  /// (aggregate exports keep working); tests disable it for isolation.
-  bool publish_request_metrics = true;
   /// Flight-recorder ring slots (clamped >= 1; ~80 bytes per slot,
   /// allocated once at construction).
   std::size_t flight_capacity = 256;

@@ -39,8 +39,9 @@ namespace matchsparse::serve {
 /// order. Both STATS formats read them from ServeTelemetry: the legacy
 /// JSON under counter_key(), the exposition as
 /// matchsparse_serve_<key>_total with a HELP text saying what each one
-/// counts. They sit outside the registry, so they keep counting when
-/// MATCHSPARSE_OBS_ENABLED=0 compiles the registry out.
+/// counts. They sit outside the registry, so they keep counting with
+/// telemetry off (ServerOptions::telemetry = false), which stops the
+/// registry's merges: the legacy JSON's counters are a wire contract.
 enum class ServeCounter : std::uint8_t {
   kRequests,
   kErrors,

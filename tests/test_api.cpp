@@ -131,13 +131,11 @@ TEST(Api, IdentityRegimeReturnsTheGraph) {
       EXPECT_EQ(stats.probes, 0u) << label;
       EXPECT_EQ(stats.edges, in.g.num_edges()) << label;
       EXPECT_EQ(stats.marked, 2 * in.g.num_edges()) << label;
-#if MATCHSPARSE_OBS_ENABLED
       EXPECT_EQ(registry.snapshot().counter_value("sparsify.identity"), 1u)
           << label;
       (void)build_matching_sparsifier(in.g, cfg);
       EXPECT_EQ(registry.snapshot().counter_value("sparsify.identity"), 2u)
           << label;
-#endif
     }
   }
 

@@ -198,15 +198,6 @@ TEST(BucketHistogram, MergeIsExactAndAssociative) {
   EXPECT_EQ(fill({0, 1, 2}).buckets, left.buckets);
 }
 
-TEST(BucketHistogram, ResetZeroesEverything) {
-  obs::BucketHistogram h;
-  h.observe(1.0);
-  h.observe(2.0);
-  h.reset();
-  EXPECT_EQ(h.snapshot().count(), 0u);
-  EXPECT_EQ(h.snapshot().sum, 0.0);
-}
-
 TEST(BucketHistogram, ObserveStormFromEightThreadsLosesNothing) {
   // 8 threads x 20k observes on one histogram: the bucket counters are
   // relaxed atomics, so the final snapshot must account for every

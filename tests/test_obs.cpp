@@ -142,8 +142,6 @@ class TracerSession {
   }
 };
 
-#if MATCHSPARSE_OBS_ENABLED
-
 TEST(ObsTrace, SpansNestWithDepth) {
   TracerSession session;
   {
@@ -273,8 +271,6 @@ TEST(ObsTrace, ChromeExportIsWellFormedJson) {
   EXPECT_TRUE(valid_json(obs::Tracer::instance().span_summary_json()));
 }
 
-#endif  // MATCHSPARSE_OBS_ENABLED
-
 TEST(ObsTrace, DisabledSpansRecordNothing) {
   obs::Tracer::instance().clear();
   obs::Tracer::instance().set_enabled(false);
@@ -283,8 +279,6 @@ TEST(ObsTrace, DisabledSpansRecordNothing) {
   }
   EXPECT_TRUE(obs::Tracer::instance().events().empty());
 }
-
-#if MATCHSPARSE_OBS_ENABLED
 
 TEST(ObsMetrics, CounterGaugeHistogramRoundTrip) {
   obs::counter("test.roundtrip.count").add(3);
@@ -421,8 +415,6 @@ TEST(ObsMetrics, SnapshotNeverBlocksConcurrentObserves) {
   EXPECT_EQ(bucket->count, expected);
 }
 
-#endif  // MATCHSPARSE_OBS_ENABLED
-
 TEST(ObsManifest, JsonShapeAndIdentityFields) {
   obs::RunManifest m;
   m.tool = "test_obs";
@@ -431,11 +423,15 @@ TEST(ObsManifest, JsonShapeAndIdentityFields) {
   m.threads = 3;
   const std::string json = obs::run_manifest_json(m);
   EXPECT_TRUE(valid_json(json)) << json;
+  EXPECT_NE(json.find("\"tool\":\"test_obs\""), std::string::npos);
   EXPECT_NE(json.find("\"seed\":424242"), std::string::npos);
   EXPECT_NE(json.find("\"threads\":3"), std::string::npos);
   EXPECT_NE(json.find("\"git\":"), std::string::npos);
   EXPECT_NE(json.find("\"metrics\":"), std::string::npos);
   EXPECT_NE(json.find("\"spans\":"), std::string::npos);
+  // Observability is always compiled in, so the manifest has no flag
+  // saying whether it was.
+  EXPECT_EQ(json.find("obs_enabled"), std::string::npos);
   // git_describe never dangles: it is a compile-time constant.
   EXPECT_NE(obs::git_describe(), nullptr);
   EXPECT_NE(std::string(obs::git_describe()), "");

@@ -341,7 +341,6 @@ class ServeEndToEnd : public ::testing::Test {
   static ServerOptions options() {
     ServerOptions o;
     o.cache_bytes = 64ull << 20;
-    o.publish_request_metrics = false;
     return o;
   }
 
@@ -959,7 +958,6 @@ TEST_F(ServeEndToEnd, ShutdownAcksThenDrains) {
 
 TEST(ServeOptions, LoadCapsRefuseOversizedGraphs) {
   ServerOptions opts;
-  opts.publish_request_metrics = false;
   opts.max_vertices = 8;
   Server server(opts);
   std::string err;
@@ -972,7 +970,6 @@ TEST(ServeOptions, LoadCapsRefuseOversizedGraphs) {
 
 TEST(ServeOptions, InflightCapShedsConcurrentJobs) {
   ServerOptions opts;
-  opts.publish_request_metrics = false;
   opts.max_inflight = 1;
   Server server(opts);
   std::string err;
@@ -1036,7 +1033,6 @@ TEST(ServeOptions, InflightCapShedsConcurrentJobs) {
 TEST(ServeOptions, PerRequestArtifactsExported) {
   const std::string prefix = ::testing::TempDir() + "serve_artifacts";
   ServerOptions opts;
-  opts.publish_request_metrics = false;
   opts.metrics_prefix = prefix + ".metrics";
   opts.trace_prefix = prefix + ".trace";
   Server server(opts);

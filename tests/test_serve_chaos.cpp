@@ -77,7 +77,6 @@ JobRequest job_of(const std::string& source, std::uint64_t seed) {
 
 TEST(ServeChaos, SurvivorsAreBitIdenticalAndLedgersDrain) {
   ServerOptions opts;
-  opts.publish_request_metrics = false;
   opts.cache_bytes = 32ull << 20;
   opts.max_inflight = 4;          // some honest sheds under the storm
   opts.shed_retry_after_ms = 2.0;

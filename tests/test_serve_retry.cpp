@@ -73,12 +73,6 @@ JobRequest job_of(const std::string& source, std::uint64_t seed = 11) {
   return req;
 }
 
-ServerOptions quiet_options() {
-  ServerOptions o;
-  o.publish_request_metrics = false;
-  return o;
-}
-
 // ---------------------------------------------------------------------------
 // Protocol rev 2: the idempotency token on the wire.
 // ---------------------------------------------------------------------------
@@ -156,7 +150,7 @@ TEST(ServeClientDeadline, StalledPeerSurfacesAsTypedTimeout) {
 class ServeDedup : public ::testing::Test {
  protected:
   void SetUp() override {
-    server_ = std::make_unique<Server>(quiet_options());
+    server_ = std::make_unique<Server>(ServerOptions{});
     std::string err;
     ASSERT_TRUE(server_->start(&err)) << err;
   }
@@ -247,7 +241,7 @@ TEST_F(ServeDedup, RefusedAttemptAbortsTheTokenSoARetryStartsFresh) {
 }
 
 TEST(ServeDedupWindow, EvictsLeastRecentlyCompletedToken) {
-  ServerOptions opts = quiet_options();
+  ServerOptions opts;
   opts.dedup_window = 2;
   Server server(opts);
   std::string err;
@@ -276,7 +270,7 @@ TEST(ServeDedupWindow, EvictsLeastRecentlyCompletedToken) {
 }
 
 TEST(ServeDedupWindow, ZeroWindowDisablesTokensEntirely) {
-  ServerOptions opts = quiet_options();
+  ServerOptions opts;
   opts.dedup_window = 0;
   Server server(opts);
   std::string err;
@@ -296,7 +290,7 @@ TEST(ServeDedupWindow, ZeroWindowDisablesTokensEntirely) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeRetryingClient, ReconnectsAfterMidReplyResetAndGetsAReplayNotARerun) {
-  Server server(quiet_options());
+  Server server(ServerOptions{});
   std::string err;
   ASSERT_TRUE(server.start(&err)) << err;
   {
@@ -352,7 +346,7 @@ TEST(ServeRetryingClient, ReconnectsAfterMidReplyResetAndGetsAReplayNotARerun) {
 }
 
 TEST(ServeRetryingClient, ShedIsRetriedAndTheBackoffHonorsTheServerHint) {
-  ServerOptions opts = quiet_options();
+  ServerOptions opts;
   opts.max_inflight = 1;
   opts.shed_retry_after_ms = 40.0;
   Server server(opts);
@@ -404,7 +398,7 @@ TEST(ServeRetryingClient, ShedIsRetriedAndTheBackoffHonorsTheServerHint) {
 }
 
 TEST(ServeRetryingClient, PermanentRefusalsSurfaceWithoutRetry) {
-  Server server(quiet_options());
+  Server server(ServerOptions{});
   std::string err;
   ASSERT_TRUE(server.start(&err)) << err;
   RetryingClient rc([&]() { return Client(server.connect_in_process()); },
@@ -435,7 +429,7 @@ TEST(ServeRetryingClient, ConnectFailuresAreBoundedByMaxAttempts) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeReaper, SilentSessionsAreReapedOnTheIdleDeadline) {
-  ServerOptions opts = quiet_options();
+  ServerOptions opts;
   opts.session_idle_timeout_ms = 50.0;
   Server server(opts);
   std::string err;

@@ -68,7 +68,6 @@ JobRequest job_of(const std::string& source, std::uint64_t seed,
 
 TEST(ServeSoak, MixedWorkloadUnderConcurrency) {
   ServerOptions opts;
-  opts.publish_request_metrics = false;
   // Small cache: scratch-source churn and explicit EVICTs keep the LRU
   // moving without ever displacing the stable sources the clean
   // clients' baselines depend on.

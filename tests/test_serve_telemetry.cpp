@@ -26,6 +26,7 @@
 #include "core/api.hpp"
 #include "gen/generators.hpp"
 #include "guard/guard.hpp"
+#include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/flight.hpp"
 #include "serve/protocol.hpp"
@@ -200,7 +201,6 @@ class TelemetryEndToEnd : public ::testing::Test {
   static ServerOptions options() {
     ServerOptions o;
     o.cache_bytes = 64ull << 20;
-    o.publish_request_metrics = false;
     return o;
   }
 
@@ -448,6 +448,34 @@ TEST_F(TelemetryEndToEnd, ServerCountersCountWithTelemetryOff) {
   o.telemetry = false;
   start(o);  // replaces the SetUp server
   expect_both_stats_formats_agree();
+}
+
+TEST_F(TelemetryEndToEnd, JobMetricsReachThePlaneNotTheGlobalRegistry) {
+  // Plain default options: a job's library instruments fold into the
+  // plane's registry, the aggregate STATS reads, and nowhere else.
+  start(ServerOptions{});  // replaces the SetUp server
+  const auto global_searches = [] {
+    return obs::Registry::instance().snapshot().counter_value(
+        "matching.aug.searches");
+  };
+  const auto plane_searches = [](const std::string& text) {
+    const std::string line = "\nmatchsparse_matching_aug_searches_total ";
+    const std::size_t pos = text.find(line);
+    if (pos == std::string::npos) return 0ull;
+    return std::strtoull(text.c_str() + pos + line.size(), nullptr, 10);
+  };
+  const std::uint64_t global_before = global_searches();
+  Client c = client();
+  const auto before = c.stats_prometheus();
+  ASSERT_TRUE(before.has_value());
+  ASSERT_TRUE(c.load(load_of("g", test_graph(0x91ba1))).has_value());
+  ASSERT_TRUE(c.match(job_of("g")).has_value());  // runs approx_mcm
+  // The session serves frames in order, so this scrape's reply means
+  // the MATCH's handler has returned and its context is gone.
+  const auto after = c.stats_prometheus();
+  ASSERT_TRUE(after.has_value());
+  EXPECT_GT(plane_searches(*after), plane_searches(*before));
+  EXPECT_EQ(global_searches(), global_before);
 }
 
 TEST_F(TelemetryEndToEnd, FlightDumpOverTheWireHoldsTheJobs) {
